@@ -95,6 +95,8 @@ def cmd_sweep(args) -> int:
                                         profile=args.profile,
                                         slots=args.slots)
         config = _build_config(sweep_args)
+        if type(getattr(config, field)) is int and value.is_integer():
+            value = int(value)   # --values parses floats
         config = ScenarioConfig.from_dict({**config.to_dict(), field: value})
         results = _run_batch(config, approaches, seeds)
         print(f"--- {field} = {value:g} ---")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -109,7 +110,7 @@ class ScenarioConfig:
     budget_propulsion: float | None = None  # override; default 1.2x hover
     budget_compute: float | None = None     # override; default = remainder
     sca_tolerance: float = 0.01
-    sca_max_iters: float = 50
+    sca_max_iters: int = 50
 
     # --- reproducibility ---
     seed: int = 0
@@ -169,6 +170,12 @@ class ScenarioConfig:
             raise ValueError("lyapunov_v must be positive")
         if self.suav_energy_budget <= 0:
             raise ValueError("suav_energy_budget must be positive")
+        if (isinstance(self.sca_max_iters, bool)
+                or not isinstance(self.sca_max_iters, numbers.Integral)
+                or self.sca_max_iters < 1):
+            raise ValueError("sca_max_iters must be an integer >= 1")
+        if not (math.isfinite(self.sca_tolerance) and self.sca_tolerance > 0):
+            raise ValueError("sca_tolerance must be finite and positive")
         eb_c, eb_p = self.budget_split()
         if eb_c <= 0 or eb_p <= 0:
             raise ValueError("per-slot energy budgets must be positive; "

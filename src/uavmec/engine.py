@@ -155,9 +155,6 @@ def build_game_context(world: World, queues: QueueState,
         rates=rates,
         f_max=np.concatenate([np.full(cfg.num_suavs, cfg.suav_compute),
                               [cfg.luav_compute]]),
-        bandwidth=np.concatenate(
-            [np.full(cfg.num_suavs, cfg.suav_bandwidth),
-             [cfg.luav_bandwidth]]),
         queue_weight=np.concatenate([qw_suav, [0.0]]),
         tx_power=np.full(cfg.num_uds, cfg.ud_tx_power),
         gamma_time=cfg.gamma_time,

@@ -9,6 +9,12 @@ evaluated under the closed-form optimal shares, which reduces them to
 with beta/phi the square-root weights of the allocation module and the sums
 running over the members of s (m included).  That form is what makes the
 ordered-double-sum potential below exact.
+
+Stage 1 keeps those member sums in a ``MemberSums`` object across moves, so
+a best response costs O(S) and an accepted move O(M) for the two servers it
+touches.  Because the ordered double sum of one server equals
+1/2 [(sum x)^2 + sum x^2], the same sums give the potential of a server in
+closed form, and the strict-descent check on each move costs O(1).
 """
 from __future__ import annotations
 
@@ -37,7 +43,6 @@ class GameContext:
     ud_compute: np.ndarray
     rates: np.ndarray
     f_max: np.ndarray
-    bandwidth: np.ndarray
     queue_weight: np.ndarray
     tx_power: np.ndarray
     gamma_time: float
@@ -57,6 +62,7 @@ class GameContext:
     trans_base: np.ndarray = field(init=False, repr=False)
     exec_base: np.ndarray = field(init=False, repr=False)
     member_cost: np.ndarray = field(init=False, repr=False)
+    member_terms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.data_bits
@@ -78,6 +84,10 @@ class GameContext:
                             * (self.trans_base + self.exec_base)
                             + self.gamma_energy
                             * (self.tx_power * d)[None, :] / self.rates)
+        # per-server rows summed over members by MemberSums, shape (S, 5, M)
+        self.member_terms = np.stack(
+            [self.beta, self.phi, self.beta ** 2, self.phi ** 2,
+             np.broadcast_to(self.edge_energy, self.beta.shape)], axis=1)
 
     @property
     def n_servers(self) -> int:
@@ -88,13 +98,59 @@ class GameContext:
         return len(self.data_bits)
 
 
-def _member_sums(profile: np.ndarray, ctx: GameContext):
-    """Per-server sums of beta/phi/count over current members."""
-    onehot = profile[None, :] == np.arange(ctx.n_servers)[:, None]
-    sum_b = (ctx.beta * onehot).sum(axis=1)
-    sum_p = (ctx.phi * onehot).sum(axis=1)
-    counts = onehot.sum(axis=1)
-    return sum_b, sum_p, counts, onehot
+class MemberSums:
+    """Per-server sums over the members of a profile, kept across moves.
+
+    ``totals[s]`` holds sum(beta), sum(phi), sum(beta^2), sum(phi^2) and the
+    summed edge energy over the members of server s; ``count[s]`` is their
+    number.  Each row is rebuilt by the same reduction as a fresh build,
+    ``(x[s] * (profile == s)).sum()``, so the sums after any sequence of
+    ``refresh`` calls equal a fresh build bit for bit, and no utility,
+    deadline test or tie depends on the order of earlier moves.
+    """
+
+    def __init__(self, profile: np.ndarray, ctx: GameContext):
+        self.ctx = ctx
+        self.totals = np.empty((ctx.n_servers, 5))
+        self.count = np.empty(ctx.n_servers, dtype=int)
+        for s in range(ctx.n_servers):
+            self.refresh(profile, s)
+
+    @property
+    def sum_b(self) -> np.ndarray:
+        return self.totals[:, 0]
+
+    @property
+    def sum_p(self) -> np.ndarray:
+        return self.totals[:, 1]
+
+    def refresh(self, profile: np.ndarray, s: int) -> None:
+        """Rebuild the sums of server ``s`` (no-op for LOCAL) from
+        ``profile``; O(M)."""
+        if s == LOCAL:
+            return
+        mask = profile == s
+        self.totals[s] = (self.ctx.member_terms[s] * mask).sum(axis=1)
+        self.count[s] = np.count_nonzero(mask)
+
+    def server_potential(self, s: int) -> float:
+        """Potential terms of server ``s`` in closed form:
+        1/2 [(sum b)^2 + sum b^2] + 1/2 [(sum p)^2 + sum p^2] + qw_s sum E,
+        which equals ``potential``'s ordered double sums over its members
+        plus its queue term."""
+        b, p, b2, p2, e = self.totals[s].tolist()
+        return (0.5 * (b * b + b2) + 0.5 * (p * p + p2)
+                + float(self.ctx.queue_weight[s]) * e)
+
+    def move_potential(self, m: int, strategy: int, servers) -> float:
+        """The part of the potential a move of UD m among ``servers`` can
+        change, with m playing ``strategy``: the closed-form terms of those
+        servers plus m's local cost if it computes locally."""
+        total = float(self.ctx.local_cost[m]) if strategy == LOCAL else 0.0
+        for s in servers:
+            if s != LOCAL:
+                total += self.server_potential(s)
+        return total
 
 
 def utility(m: int, strategy: int, profile: np.ndarray,
@@ -114,19 +170,6 @@ def utility(m: int, strategy: int, profile: np.ndarray,
     return float(queue_term + ctx.beta[s, m] * sum_b + ctx.phi[s, m] * sum_p)
 
 
-def edge_delay_at(m: int, s: int, sum_b: float, sum_p: float, count: int,
-                  ctx: GameContext) -> float:
-    """Completion delay of m on server s given joined member sums."""
-    if ctx.data_bits[m] == 0:
-        return 0.0
-    if ctx.uniform_shares:
-        return float(count * (ctx.trans_base[s, m] + ctx.exec_base[s, m]))
-    w_share = ctx.phi[s, m] / sum_p if sum_p > 0 else 1.0 / count
-    z_share = ctx.beta[s, m] / sum_b if sum_b > 0 else 1.0 / count
-    return float(ctx.trans_base[s, m] / w_share
-                 + ctx.exec_base[s, m] / z_share)
-
-
 @dataclass
 class BestResponse:
     best: tuple            # all minimizers, ascending strategy order
@@ -136,37 +179,48 @@ class BestResponse:
     fallback: bool = False  # no feasible edge and local disallowed
 
 
-def best_response(m: int, profile: np.ndarray,
-                  ctx: GameContext) -> BestResponse:
+def best_response(m: int, profile: np.ndarray, ctx: GameContext,
+                  sums: MemberSums) -> BestResponse:
     """Best strategies for UD m holding everyone else fixed.
 
-    Edge candidates must meet the task deadline under the re-derived shares
-    with m as a member; local computing is always a candidate when allowed.
-    When nothing is feasible (entire-offloading mode under pressure) every
-    edge option becomes a candidate and the result is flagged.
+    ``sums`` must hold the member sums of ``profile``; every server is then
+    priced in O(1).  Edge candidates must meet the task deadline under the
+    re-derived shares with m as a member; local computing is always a
+    candidate when allowed.  When nothing is feasible (entire-offloading
+    mode under pressure) every edge option becomes a candidate and the
+    result is flagged.
     """
-    sum_b, sum_p, counts, onehot = _member_sums(profile, ctx)
-    in_s = onehot[:, m]
-    joined_b = sum_b + np.where(in_s, 0.0, ctx.beta[:, m])
-    joined_p = sum_p + np.where(in_s, 0.0, ctx.phi[:, m])
-    joined_n = counts + np.where(in_s, 0, 1)
+    # member sums of every server with m joined (m's own server unchanged)
+    cur = int(profile[m])
+    joined_b = sums.sum_b + ctx.beta[:, m]
+    joined_p = sums.sum_p + ctx.phi[:, m]
+    joined_n = sums.count + 1
+    if cur != LOCAL:
+        joined_b[cur] = sums.sum_b[cur]
+        joined_p[cur] = sums.sum_p[cur]
+        joined_n[cur] = sums.count[cur]
 
-    utilities: dict[int, float] = {}
-    feasible: list[int] = []
-    for s in range(ctx.n_servers):
-        queue_term = ctx.queue_weight[s] * ctx.edge_energy[m]
-        if ctx.uniform_shares:
-            u = queue_term + joined_n[s] * ctx.member_cost[s, m]
-        else:
-            u = queue_term + ctx.beta[s, m] * joined_b[s] \
-                + ctx.phi[s, m] * joined_p[s]
-        utilities[s] = float(u)
-        delay = edge_delay_at(m, s, joined_b[s], joined_p[s], joined_n[s],
-                              ctx)
-        if delay <= ctx.deadline[m] + DEADLINE_SLACK:
-            feasible.append(s)
+    queue_term = ctx.queue_weight * ctx.edge_energy[m]
+    if ctx.uniform_shares:
+        u = queue_term + joined_n * ctx.member_cost[:, m]
+    else:
+        u = queue_term + ctx.beta[:, m] * joined_b + ctx.phi[:, m] * joined_p
+    utilities: dict[int, float] = dict(enumerate(u.tolist()))
 
-    candidates = list(feasible)
+    # completion delay on each server under the re-derived shares
+    if ctx.data_bits[m] == 0:
+        delay = np.zeros(ctx.n_servers)
+    elif ctx.uniform_shares:
+        delay = joined_n * (ctx.trans_base[:, m] + ctx.exec_base[:, m])
+    else:
+        w_share = np.divide(1.0, joined_n)
+        np.divide(ctx.phi[:, m], joined_p, out=w_share, where=joined_p > 0)
+        z_share = np.divide(1.0, joined_n)
+        np.divide(ctx.beta[:, m], joined_b, out=z_share, where=joined_b > 0)
+        delay = ctx.trans_base[:, m] / w_share + ctx.exec_base[:, m] / z_share
+    fits = delay <= ctx.deadline[m] + DEADLINE_SLACK
+
+    candidates = [s for s, ok in enumerate(fits.tolist()) if ok]
     fallback = False
     if ctx.allow_local:
         utilities[LOCAL] = float(ctx.local_cost[m])
@@ -235,15 +289,22 @@ def run_stage1(ctx: GameContext,
     has become deadline-infeasible, in which case the move is forced.  Ties
     among new best strategies are broken with the context RNG.
 
-    For the optimal-share game the potential must strictly decrease at each
-    non-forced move (checked; a violation means the utility algebra is
-    broken) and sweeps must reach a fixed point within the cap.  The
-    uniform-share variant has no such guarantee, so hitting the cap there
-    just returns the current profile flagged unconverged.
+    The member sums are built once and each accepted move refreshes the two
+    servers it touches.  For the optimal-share game the potential must
+    strictly decrease at each non-forced move (checked; a violation means
+    the utility algebra is broken) and sweeps must reach a fixed point
+    within the cap.  The check compares the closed-form potential terms of
+    the two touched servers, plus the mover's local cost, before and after
+    the move: it is derived from the potential's definition, not from the
+    utilities, and costs O(1); ``MoveRecord.delta_potential`` records that
+    difference.  The uniform-share variant has no such guarantee, so
+    hitting the cap there just returns the current profile flagged
+    unconverged.
     """
     m_total = ctx.n_uds
     profile = (np.full(m_total, LOCAL, dtype=int) if initial is None
                else np.asarray(initial, dtype=int).copy())
+    sums = MemberSums(profile, ctx)
     moves: list[MoveRecord] = []
     fallbacks: list[tuple[int, int]] = []
     max_sweeps = 10 * m_total + 10
@@ -255,7 +316,7 @@ def run_stage1(ctx: GameContext,
         sweeps += 1
         changed = False
         for m in range(m_total):
-            br = best_response(m, profile, ctx)
+            br = best_response(m, profile, ctx, sums)
             cur = int(profile[m])
             if cur in br.best:
                 continue
@@ -266,19 +327,21 @@ def run_stage1(ctx: GameContext,
             else:
                 target = br.best[0]
             forced = cur not in br.candidates
-            du = br.best_utility - br.utilities.get(
-                cur, utility(m, cur, profile, ctx))
+            u_cur = (br.utilities[cur] if cur in br.utilities
+                     else utility(m, cur, profile, ctx))
+            du = br.best_utility - u_cur
             dphi = None
             if track_potential:
-                before = potential(profile, ctx)
-                profile[m] = target
-                dphi = potential(profile, ctx) - before
+                before = sums.move_potential(m, cur, (cur, target))
+            profile[m] = target
+            sums.refresh(profile, cur)
+            sums.refresh(profile, target)
+            if track_potential:
+                dphi = sums.move_potential(m, target, (cur, target)) - before
                 if not forced and not dphi < 0.0:
                     raise RuntimeError(
                         f"potential failed to decrease on move of UD {m} "
                         f"({cur} -> {target}, delta={dphi:.3e})")
-            else:
-                profile[m] = target
             if br.fallback:
                 fallbacks.append((m, target))
             moves.append(MoveRecord(m, cur, target, float(du), dphi, forced))
@@ -306,8 +369,9 @@ def is_nash(profile: np.ndarray, ctx: GameContext):
     already violated), since equilibrium is defined over feasible profiles.
     """
     profile = np.asarray(profile, dtype=int)
+    sums = MemberSums(profile, ctx)
     for m in range(ctx.n_uds):
-        br = best_response(m, profile, ctx)
+        br = best_response(m, profile, ctx, sums)
         cur = int(profile[m])
         if cur not in br.candidates:
             raise ValueError(
@@ -363,8 +427,9 @@ def poa_measure(ctx: GameContext, max_profiles: int = 1_000_000) -> PoaResult:
         total = 0.0
         feasible = True
         equilibrium = True
+        sums = MemberSums(profile, ctx)
         for m in range(m_total):
-            br = best_response(m, profile, ctx)
+            br = best_response(m, profile, ctx, sums)
             cur = int(profile[m])
             if cur not in br.candidates:
                 feasible = False

@@ -90,7 +90,7 @@ def build_problem(profile, shares, data_bits, phi_suav, ud_positions,
         prop_c1=cfg.prop_blade, prop_c2=cfg.prop_induced,
         prop_c3=cfg.prop_speed4, prop_c4=cfg.prop_parasite,
         tip_speed=cfg.prop_tip_speed,
-        sca_tol=cfg.sca_tolerance, max_iters=int(cfg.sca_max_iters))
+        sca_tol=cfg.sca_tolerance, max_iters=cfg.sca_max_iters)
 
 
 def surrogate_f(xi, q_next, expansion_q, current_q, xi_exp, dt):

@@ -63,7 +63,6 @@ def random_game_context(rng: np.random.Generator, m_max: int = 5,
         ud_compute=rng.choice([1e9, 1.5e9, 2e9], m),
         rates=rng.uniform(1e6, 3e7, (s, m)),
         f_max=np.concatenate([np.full(n, 20e9), [30e9]]),
-        bandwidth=np.concatenate([np.full(n, 5e6), [10e6]]),
         queue_weight=np.concatenate(
             [np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 4e-3, n)),
              [0.0]]),

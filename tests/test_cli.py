@@ -71,6 +71,18 @@ def test_sweep_writes_points(tmp_path):
     assert (out / "lyapunov_v_5000" / "summary.json").exists()
 
 
+def test_sweep_passes_integer_fields_as_integers(tmp_path):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--param", "sca_max_iters", "--values", "1", "3",
+               "--seeds", "0", "--slots", "2", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [p["value"] for p in doc["points"]] == [1, 3]
+    with pytest.raises(ValueError, match="sca_max_iters"):
+        main(["sweep", "--param", "sca_max_iters", "--values", "2.5",
+              "--seeds", "0", "--slots", "2"])
+
+
 def test_sweep_rejects_unknown_param():
     with pytest.raises(SystemExit, match="unknown sweep parameter"):
         main(["sweep", "--param", "warp_factor", "--values", "1"])

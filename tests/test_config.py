@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from uavmec.config import (PROFILES, ScenarioConfig, desk_profile,
@@ -38,6 +39,23 @@ def test_validate_rejects_bad_values():
         desk_profile(suav_initial_positions=((0.0, 0.0),))
     with pytest.raises(ValueError, match="min_separation"):
         desk_profile(suav_initial_positions=((0.0, 0.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.9, 50.0, True, "50"])
+def test_validate_rejects_bad_sca_max_iters(value):
+    with pytest.raises(ValueError, match="sca_max_iters"):
+        desk_profile(sca_max_iters=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_validate_rejects_bad_sca_tolerance(value):
+    with pytest.raises(ValueError, match="sca_tolerance"):
+        desk_profile(sca_tolerance=value)
+
+
+def test_validate_accepts_integer_sca_max_iters():
+    assert desk_profile(sca_max_iters=1).sca_max_iters == 1
+    assert desk_profile(sca_max_iters=np.int64(7)).sca_max_iters == 7
 
 
 def test_from_dict_converts_log_scale_keys():

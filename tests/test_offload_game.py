@@ -3,8 +3,8 @@ import pytest
 
 from uavmec import compute as cm
 from uavmec.allocation import allocate
-from uavmec.game import (LOCAL, best_response, is_nash, poa_measure,
-                         potential, run_stage1, utility)
+from uavmec.game import (LOCAL, MemberSums, best_response, is_nash,
+                         poa_measure, potential, run_stage1, utility)
 from uavmec.verification import random_game_context, random_profile
 
 
@@ -69,7 +69,7 @@ def test_best_response_prunes_deadline_violations():
     ctx = random_game_context(rng)
     ctx.deadline[:] = 1e-9   # nothing fits on any edge
     profile = np.full(ctx.n_uds, LOCAL)
-    br = best_response(0, profile, ctx)
+    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
     assert br.candidates == (LOCAL,)
     assert br.best == (LOCAL,)
     assert not br.fallback
@@ -81,7 +81,7 @@ def test_forced_offloading_falls_back_when_nothing_fits():
     ctx.allow_local = False
     ctx.deadline[:] = 1e-9
     profile = np.zeros(ctx.n_uds, dtype=int)
-    br = best_response(0, profile, ctx)
+    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
     assert br.fallback
     assert set(br.candidates) == set(range(ctx.n_servers))
     result = run_stage1(ctx)
@@ -175,7 +175,7 @@ def test_symmetric_servers_tie_break_deterministically():
     ctx.queue_weight[1] = ctx.queue_weight[0]
     ctx.__post_init__()
     profile = np.full(ctx.n_uds, LOCAL)
-    br = best_response(0, profile, ctx)
+    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
     if 0 in br.best and len(br.best) >= 2:
         assert 1 in br.best
     ctx.tiebreak_rng = np.random.default_rng(123)
