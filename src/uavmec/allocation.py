@@ -22,10 +22,6 @@ class AllocationResult:
     """Share matrices indexed [server, ud]; zero where m is not a member."""
     z: np.ndarray
     w: np.ndarray
-    members: tuple  # tuple of index arrays, one per server
-
-    def server_members(self, s: int) -> np.ndarray:
-        return self.members[s]
 
 
 def _closed_form_shares(weights: np.ndarray) -> np.ndarray:
@@ -48,10 +44,8 @@ def allocate(profile: np.ndarray, ctx) -> AllocationResult:
     m_total = len(ctx.data_bits)
     z = np.zeros((n_servers, m_total))
     w = np.zeros((n_servers, m_total))
-    members = []
     for s in range(n_servers):
         idx = np.flatnonzero(profile == s)
-        members.append(idx)
         if len(idx) == 0:
             continue
         d = ctx.data_bits[idx]
@@ -60,7 +54,7 @@ def allocate(profile: np.ndarray, ctx) -> AllocationResult:
             / ctx.rates[s, idx]
         z[s, idx] = _closed_form_shares(a)
         w[s, idx] = _closed_form_shares(b)
-    return AllocationResult(z=z, w=w, members=tuple(members))
+    return AllocationResult(z=z, w=w)
 
 
 def uniform_allocation(profile: np.ndarray, ctx) -> AllocationResult:
@@ -69,14 +63,12 @@ def uniform_allocation(profile: np.ndarray, ctx) -> AllocationResult:
     m_total = len(ctx.data_bits)
     z = np.zeros((n_servers, m_total))
     w = np.zeros((n_servers, m_total))
-    members = []
     for s in range(n_servers):
         idx = np.flatnonzero(profile == s)
-        members.append(idx)
         if len(idx):
             z[s, idx] = 1.0 / len(idx)
             w[s, idx] = 1.0 / len(idx)
-    return AllocationResult(z=z, w=w, members=tuple(members))
+    return AllocationResult(z=z, w=w)
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +137,8 @@ def allocation_oracle(profile: np.ndarray, ctx,
     m_total = len(ctx.data_bits)
     z = np.zeros((n_servers, m_total))
     w = np.zeros((n_servers, m_total))
-    members = []
     for s in range(n_servers):
         idx = np.flatnonzero(profile == s)
-        members.append(idx)
         if len(idx) == 0:
             continue
         if len(idx) > 6:
@@ -160,14 +150,14 @@ def allocation_oracle(profile: np.ndarray, ctx,
             / ctx.rates[s, idx]
         z[s, idx] = _simplex_minimize(a, tol=tol)
         w[s, idx] = _simplex_minimize(b, tol=tol)
-    return AllocationResult(z=z, w=w, members=tuple(members))
+    return AllocationResult(z=z, w=w)
 
 
 def share_objective(profile: np.ndarray, ctx, alloc: AllocationResult) -> float:
     """The share-dependent slot cost the two routes both minimize."""
     total = 0.0
     for s in range(ctx.rates.shape[0]):
-        idx = alloc.members[s]
+        idx = np.flatnonzero(profile == s)
         if len(idx) == 0:
             continue
         d = ctx.data_bits[idx]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LOCAL = -1
+from .game import LOCAL
 
 
 def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,

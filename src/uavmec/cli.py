@@ -90,14 +90,11 @@ def cmd_sweep(args) -> int:
     approaches = _approach_list(args.approach)
     clean = True
     rows = []
+    base = _build_config(args)
     for value in args.values:
-        sweep_args = argparse.Namespace(config=args.config,
-                                        profile=args.profile,
-                                        slots=args.slots)
-        config = _build_config(sweep_args)
-        if type(getattr(config, field)) is int and value.is_integer():
+        if type(getattr(base, field)) is int and value.is_integer():
             value = int(value)   # --values parses floats
-        config = ScenarioConfig.from_dict({**config.to_dict(), field: value})
+        config = ScenarioConfig.from_dict({**base.to_dict(), field: value})
         results = _run_batch(config, approaches, seeds)
         print(f"--- {field} = {value:g} ---")
         _report(results)

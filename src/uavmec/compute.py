@@ -35,11 +35,6 @@ def edge_ud_energy(data_bits, rate, tx_power):
     return tx_power * data_bits / rate
 
 
-def suav_compute_energy(data_bits, cycles_per_bit, energy_per_cycle):
-    """Server-side execution energy: omega * eta * D."""
-    return energy_per_cycle * cycles_per_bit * data_bits
-
-
 def propulsion_power(v, c1, c2, c3, c4, tip_speed):
     """Rotary-wing power at horizontal speed v.
 

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -151,6 +151,9 @@ class ScenarioConfig:
                      "luav_altitude"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("nakagami_los", "nakagami_nlos"):
+            if getattr(self, name) < 0.5:   # Nakagami-m needs m >= 0.5
+                raise ValueError(f"{name} must be >= 0.5")
         if not 0.0 <= self.mobility_alpha <= 1.0:
             raise ValueError("mobility_alpha must lie in [0, 1]")
         if self.mobility_sigma < 0:

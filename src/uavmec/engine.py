@@ -15,7 +15,7 @@ approaches are the same loop under different switches:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .trajectory import build_problem, run_stage2, Stage2Result
 
 @dataclass(frozen=True)
 class ApproachSpec:
-    name: str
     allow_local: bool = True
     uniform_shares: bool = False
     use_queues: bool = True
@@ -40,11 +39,11 @@ class ApproachSpec:
 
 
 APPROACHES = {
-    "OJTRTA": ApproachSpec("OJTRTA"),
-    "EO": ApproachSpec("EO", allow_local=False),
-    "ERA": ApproachSpec("ERA", uniform_shares=True),
-    "FLP": ApproachSpec("FLP", move=False),
-    "OCQ": ApproachSpec("OCQ", use_queues=False),
+    "OJTRTA": ApproachSpec(),
+    "EO": ApproachSpec(allow_local=False),
+    "ERA": ApproachSpec(uniform_shares=True),
+    "FLP": ApproachSpec(move=False),
+    "OCQ": ApproachSpec(use_queues=False),
 }
 APPROACH_IDS = tuple(APPROACHES)
 
@@ -99,6 +98,11 @@ class SimulationResult:
     trace: dict | None = None
 
 
+def _per_server(cfg: ScenarioConfig, suav_value, luav_value) -> np.ndarray:
+    """(S,) per-server constant: ``suav_value`` for each SUAV, then the LUAV."""
+    return np.concatenate([np.full(cfg.num_suavs, suav_value), [luav_value]])
+
+
 def _slot_channel(world: World):
     """Sampled channel state for the slot.
 
@@ -112,8 +116,7 @@ def _slot_channel(world: World):
         axis=2)
     horiz_luav = np.linalg.norm(world.ud_positions - world.luav_position,
                                 axis=1)
-    alt = np.concatenate([np.full(cfg.num_suavs, cfg.suav_altitude),
-                          [cfg.luav_altitude]])
+    alt = _per_server(cfg, cfg.suav_altitude, cfg.luav_altitude)
     horiz = np.vstack([horiz_suav, horiz_luav[None, :]])
     slant = np.sqrt(alt[:, None] ** 2 + horiz ** 2)
 
@@ -128,12 +131,12 @@ def _slot_channel(world: World):
     loss_nlos = ch.large_scale_loss(slant, cfg.carrier_frequency,
                                     cfg.attenuation_nlos)
     gain = ch.composite_gain(p_los, amp_los, amp_nlos, loss_los, loss_nlos)
-    bandwidth = np.concatenate([np.full(cfg.num_suavs, cfg.suav_bandwidth),
-                                [cfg.luav_bandwidth]])
+    bandwidth = _per_server(cfg, cfg.suav_bandwidth, cfg.luav_bandwidth)
     rates = ch.transmission_rate(1.0, bandwidth[:, None], cfg.ud_tx_power,
                                  gain, cfg.noise_power)
     if cfg.expected_fading:
-        amp_los = amp_nlos = np.ones_like(slant)
+        amp_los = amp_nlos = np.full_like(slant,
+                                          np.sqrt(cfg.mean_channel_power))
     phi = ch.snr_numerator(p_los, amp_los, amp_nlos, cfg.ud_tx_power,
                            cfg.carrier_frequency, cfg.attenuation_los,
                            cfg.attenuation_nlos, cfg.noise_power)
@@ -153,8 +156,7 @@ def build_game_context(world: World, queues: QueueState,
         deadline=tmax,
         ud_compute=world.ud_compute,
         rates=rates,
-        f_max=np.concatenate([np.full(cfg.num_suavs, cfg.suav_compute),
-                              [cfg.luav_compute]]),
+        f_max=_per_server(cfg, cfg.suav_compute, cfg.luav_compute),
         queue_weight=np.concatenate([qw_suav, [0.0]]),
         tx_power=np.full(cfg.num_uds, cfg.ud_tx_power),
         gamma_time=cfg.gamma_time,
@@ -173,8 +175,7 @@ def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
     cfg = world.config
     d, eta, tmax = world.task_arrays()
     m_total = cfg.num_uds
-    f_max = np.concatenate([np.full(cfg.num_suavs, cfg.suav_compute),
-                            [cfg.luav_compute]])
+    f_max = _per_server(cfg, cfg.suav_compute, cfg.luav_compute)
     delays = np.zeros(m_total)
     energies = np.zeros(m_total)
     for m in range(m_total):
@@ -239,9 +240,8 @@ def run_slot(world: World, queues: QueueState,
     if not spec.allow_local and stage1.deadline_fallbacks:
         waived = [v for v in violations if v.startswith("deadline:")]
         violations = [v for v in violations if not v.startswith("deadline:")]
-    misses = int(np.sum([(profile[m] != LOCAL) and d[m] > 0
-                         and delays[m] > tmax[m] + 1e-9
-                         for m in range(cfg.num_uds)]))
+    misses = int(np.count_nonzero((profile != LOCAL) & (d > 0)
+                                  & (delays > tmax + 1e-9)))
 
     decision = SlotDecision(
         slot=world.slot, profile=profile, allocation=alloc,
@@ -255,11 +255,6 @@ def run_slot(world: World, queues: QueueState,
         fallbacks=stage1.deadline_fallbacks,
         deadline_misses=misses, stage2=stage2_result)
     return decision, update_queues(queues, e_c, e_p)
-
-
-def run_slot_ojtrta(world: World, queues: QueueState):
-    """The full controller's slot step (the other approaches are switches)."""
-    return run_slot(world, queues, APPROACHES["OJTRTA"])
 
 
 def run_simulation(config: ScenarioConfig, approach: str,

@@ -47,39 +47,11 @@ def update_queues(state: QueueState, e_c, e_p) -> QueueState:
     )
 
 
-def dpp_objective(q_c, q_p, e_c, e_p, total_cost: float, v: float,
-                  violations=()) -> float:
-    """Queue-weighted energy plus V-weighted slot cost.
-
-    ``violations`` is the (possibly empty) list of constraint-check messages
-    for the decision being priced; pricing an infeasible decision is a
-    caller bug, so any entry raises.
-    """
-    if violations:
-        raise ValueError(f"infeasible decision: {violations[0]}")
+def dpp_objective(q_c, q_p, e_c, e_p, total_cost: float,
+                  v: float) -> float:
+    """Queue-weighted energy plus V-weighted slot cost."""
     if v <= 0:
         raise ValueError("v must be positive")
     drift = float(np.dot(np.asarray(q_c, dtype=float), e_c)
                   + np.dot(np.asarray(q_p, dtype=float), e_p))
     return drift + v * float(total_cost)
-
-
-def drift_bound_constant(config) -> float:
-    """The constant W bounding the one-slot Lyapunov drift (diagnostic).
-
-    Uses the per-slot worst cases: every task at maximum size executed on one
-    SUAV (compute) and a full slot at top speed (propulsion).
-    """
-    from .compute import propulsion_power
-
-    e_max_c = (config.num_uds * config.suav_energy_per_cycle
-               * config.cycles_per_bit_range[1] * config.data_bits_range[1])
-    e_max_p = propulsion_power(
-        config.suav_max_speed, config.prop_blade, config.prop_induced,
-        config.prop_speed4, config.prop_parasite,
-        config.prop_tip_speed) * config.slot_duration
-    eb_c, eb_p = config.budget_split()
-    n = config.num_suavs
-    w_c = 0.5 * n * max(eb_c ** 2, (e_max_c - eb_c) ** 2)
-    w_p = 0.5 * n * max(eb_p ** 2, (e_max_p - eb_p) ** 2)
-    return float(w_c + w_p)

@@ -19,10 +19,6 @@ class TaskSpec:
     cycles_per_bit: float
     deadline: float
 
-    @property
-    def cycles(self) -> float:
-        return self.data_bits * self.cycles_per_bit
-
 
 @dataclass
 class World:

@@ -178,6 +178,9 @@ class _Subproblem:
         self.n_zeta = int(sum(self.k_n))
         self.zeta_off = np.cumsum([0] + self.k_n)
         self.n_var = 2 * n + n + self.n_zeta
+        self.lb = np.concatenate([np.full(2 * n, -np.inf),
+                                  np.full(n, XI_FLOOR),
+                                  np.full(self.n_zeta, ZETA_FLOOR)])
         # rate-surrogate coefficients at the expansion
         self.g_exp, self.g_slope, self.g_d2exp = [], [], []
         for i, asg in enumerate(problem.assignments):
@@ -309,11 +312,7 @@ class _Subproblem:
         return jac
 
     def bounds(self):
-        lo = np.concatenate([np.full(2 * self.n, -np.inf),
-                             np.full(self.n, XI_FLOOR),
-                             np.full(self.n_zeta, ZETA_FLOOR)])
-        hi = np.full(self.n_var, np.inf)
-        return list(zip(lo, hi))
+        return list(zip(self.lb, np.full(self.n_var, np.inf)))
 
     def clip_speed(self, x):
         """Project positions exactly onto the per-slot motion ball.
@@ -385,12 +384,9 @@ class _Subproblem:
 
     def _kkt_rows(self, x):
         """Constraint rows plus finite variable bounds, as (matrix, values)."""
-        lb = np.concatenate([np.full(2 * self.n, -np.inf),
-                             np.full(self.n, XI_FLOOR),
-                             np.full(self.n_zeta, ZETA_FLOOR)])
-        finite = np.isfinite(lb)
+        finite = np.isfinite(self.lb)
         a = np.vstack([self.constraints_jac(x), np.eye(self.n_var)[finite]])
-        c = np.concatenate([self.constraints(x), (x - lb)[finite]])
+        c = np.concatenate([self.constraints(x), (x - self.lb)[finite]])
         return a, c
 
     def kkt_polish(self, x, active_tol: float = 1e-5, max_rounds: int = 4):
@@ -468,15 +464,9 @@ class _Subproblem:
         holds by construction up to ``active_tol``.
         """
         grad = self.gradient(x) * self.scale
-        cons = self.constraints(x)
-        jac = self.constraints_jac(x)
         # variable lower bounds enter as extra constraint rows
-        lb = np.concatenate([np.full(2 * self.n, -np.inf),
-                             np.full(self.n, XI_FLOOR),
-                             np.full(self.n_zeta, ZETA_FLOOR)])
-        finite = np.isfinite(lb)
-        a = np.vstack([jac, np.eye(self.n_var)[finite]])
-        c = np.concatenate([cons, (x - lb)[finite]])
+        a, c = self._kkt_rows(x)
+        cons = c[:self.n_con]
         row_norm = 1.0 + np.linalg.norm(a, axis=1)
         active = c / row_norm <= active_tol
         lam = np.zeros(len(c))
@@ -572,7 +562,6 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
 class Stage2Result:
     positions: np.ndarray
     iterations: int
-    surrogate_values: list
     true_values: list
     converged: bool
 
@@ -586,11 +575,9 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
         frozen = problem.current_positions.copy()
         value = true_objective(problem, frozen)
         return Stage2Result(positions=frozen, iterations=0,
-                            surrogate_values=[value], true_values=[value],
-                            converged=True)
+                            true_values=[value], converged=True)
     expansion = problem.current_positions.copy()
     g_prev = 0.0
-    surrogate_values: list[float] = []
     true_values: list[float] = []
     converged = False
     iterations = 0
@@ -598,12 +585,10 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
         iterations += 1
         sol = solve_convex_subproblem(problem, expansion)
         expansion = sol.positions
-        surrogate_values.append(sol.objective)
         true_values.append(true_objective(problem, sol.positions))
         if abs(sol.objective - g_prev) < problem.sca_tol:
             converged = True
             break
         g_prev = sol.objective
     return Stage2Result(positions=expansion, iterations=iterations,
-                        surrogate_values=surrogate_values,
                         true_values=true_values, converged=converged)

@@ -25,7 +25,7 @@ from .game import (GameContext, LOCAL, run_stage1, is_nash, poa_measure,
                    potential, utility)
 from .trajectory import (SuavAssignment, TrajectoryProblem, run_stage2,
                          surrogate_f, surrogate_g, surrogate_h, true_f,
-                         true_g, true_h, true_objective)
+                         true_g, true_h)
 
 PROP = dict(prop_c1=79.86, prop_c2=21.99, prop_c3=263.85, prop_c4=0.00924,
             tip_speed=120.0)

@@ -32,11 +32,6 @@ def test_edge_ud_energy():
         cm.edge_ud_energy(5e5, 0.0, 0.1)
 
 
-def test_suav_compute_energy():
-    assert cm.suav_compute_energy(1e6, 1000.0, 8.2e-9) \
-        == pytest.approx(8.2e-9 * 1e9)
-
-
 def test_propulsion_power_at_hover_and_shape():
     p0 = cm.propulsion_power(0.0, **PROP)
     assert p0 == pytest.approx(PROP["c1"] + PROP["c2"] * PROP["c3"] ** 0.25)

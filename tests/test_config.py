@@ -53,6 +53,14 @@ def test_validate_rejects_bad_sca_tolerance(value):
         desk_profile(sca_tolerance=value)
 
 
+@pytest.mark.parametrize("name", ["nakagami_los", "nakagami_nlos"])
+def test_validate_requires_nakagami_shape_of_at_least_half(name):
+    for value in (0.3, 0.49):
+        with pytest.raises(ValueError, match=name):
+            desk_profile(**{name: value})
+    assert getattr(desk_profile(**{name: 0.5}), name) == 0.5
+
+
 def test_validate_accepts_integer_sca_max_iters():
     assert desk_profile(sca_max_iters=1).sca_max_iters == 1
     assert desk_profile(sca_max_iters=np.int64(7)).sca_max_iters == 7

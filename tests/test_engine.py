@@ -8,7 +8,7 @@ import pytest
 from uavmec import compute as cm
 from uavmec.config import desk_profile
 from uavmec.engine import (APPROACHES, SlotDecision, _slot_channel,
-                           run_simulation, run_slot, run_slot_ojtrta)
+                           run_simulation, run_slot)
 from uavmec.game import LOCAL
 from uavmec.lyapunov import dpp_objective, init_queues
 from uavmec.results import (read_summary, slot_header, write_slot_csv,
@@ -70,7 +70,7 @@ def test_slot_decision_dpp_recomputes():
     world = build_scenario(cfg)
     eb_c, eb_p = cfg.budget_split()
     queues = init_queues(cfg.num_suavs, eb_c, eb_p)
-    decision, _ = run_slot_ojtrta(world, queues)
+    decision, _ = run_slot(world, queues, APPROACHES["OJTRTA"])
     expected = dpp_objective(decision.queue_c, decision.queue_p,
                              decision.suav_energy_c, decision.suav_energy_p,
                              float(decision.costs.sum()), cfg.lyapunov_v)
@@ -83,7 +83,7 @@ def test_queue_update_matches_recurrence():
     world = build_scenario(cfg)
     eb_c, eb_p = cfg.budget_split()
     queues = init_queues(cfg.num_suavs, eb_c, eb_p)
-    decision, nxt = run_slot_ojtrta(world, queues)
+    decision, nxt = run_slot(world, queues, APPROACHES["OJTRTA"])
     want_c = np.maximum(queues.q_c + decision.suav_energy_c - eb_c, 0.0)
     want_p = np.maximum(queues.q_p + decision.suav_energy_p - eb_p, 0.0)
     assert np.allclose(nxt.q_c, want_c, rtol=1e-12)
@@ -157,6 +157,31 @@ def test_slot_channel_rate_phi_identity():
     assert np.allclose(rates[-1], want_luav, rtol=1e-12)
 
 
+def test_expected_fading_prices_the_mean_channel_power():
+    """expected_fading prices phi at E[|h|^2] = mean_channel_power; the
+    rates still come from the sampled fading."""
+    def channel(**overrides):
+        return _slot_channel(build_scenario(tiny_config(**overrides)))
+
+    _, phi_1 = channel(expected_fading=True)
+    rates_4, phi_4 = channel(expected_fading=True, mean_channel_power=4.0)
+    rates_sampled, _ = channel(mean_channel_power=4.0)
+    np.testing.assert_allclose(phi_4, 4.0 * phi_1, rtol=1e-12)
+    np.testing.assert_array_equal(rates_4, rates_sampled)
+
+
+def test_deadline_misses_count_the_audited_deadline_messages():
+    cfg = desk_profile(num_slots=10, deadline_range=(0.05, 0.15))
+    eo = run_simulation(cfg, "EO", seed=0)
+    misses = eo.aggregates["deadline_misses"]
+    logged = [msg for _, msg in eo.violations + eo.waived_violations
+              if msg.startswith("deadline:")]
+    assert misses > 0
+    assert misses == len(logged)
+    ojtrta = run_simulation(cfg, "OJTRTA", seed=0)
+    assert ojtrta.aggregates["deadline_misses"] == 0
+
+
 def test_fading_stream_consumed_identically_across_approaches():
     cfg = tiny_config()
     w1 = build_scenario(cfg)
@@ -192,7 +217,7 @@ def test_realized_cost_matches_formulas():
     world = build_scenario(cfg)
     eb_c, eb_p = cfg.budget_split()
     queues = init_queues(cfg.num_suavs, eb_c, eb_p)
-    decision, _ = run_slot_ojtrta(world, queues)
+    decision, _ = run_slot(world, queues, APPROACHES["OJTRTA"])
     d, eta, _ = world.task_arrays()
     rates, _ = _slot_channel_replay(world)
     for m in range(cfg.num_uds):

@@ -55,12 +55,6 @@ def test_task_samples_respect_configured_ranges():
     assert set(world.ud_compute) <= set(cfg.ud_compute_options)
 
 
-def test_task_cycles_property():
-    world = build_scenario(desk_profile(seed=2))
-    t = world.tasks[0]
-    assert t.cycles == t.data_bits * t.cycles_per_bit
-
-
 def test_mobility_first_step_uses_previous_velocity():
     cfg = desk_profile(seed=11)
     world = build_scenario(cfg)

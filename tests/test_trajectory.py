@@ -10,6 +10,7 @@ from uavmec.trajectory import (
     build_problem, run_stage2, solve_convex_subproblem, surrogate_f,
     surrogate_g, surrogate_h, true_f, true_g, true_h, true_objective,
 )
+from uavmec.verification import random_trajectory_problem
 
 PROP = dict(prop_c1=79.86, prop_c2=21.99, prop_c3=263.85, prop_c4=0.00924,
             tip_speed=120.0)
@@ -78,6 +79,41 @@ def test_surrogate_h_tangent_and_below():
         qi = ei + rng.uniform(-30.0, 30.0, 2)
         qj = ej + rng.uniform(-30.0, 30.0, 2)
         assert surrogate_h(qi, qj, ei, ej) <= true_h(qi, qj) + 1e-9
+
+
+def test_constraint_rows_equal_the_scalar_surrogates():
+    """The solver's vectorized rows are the surrogates criterion 4 checks."""
+    rng = np.random.default_rng(14)
+    for n_suavs in (1, 2, 3):
+        for _ in range(20):
+            prob = random_trajectory_problem(rng, n_suavs=n_suavs)
+            cur, dt = prob.current_positions, prob.dt
+            exp_q = cur + rng.uniform(-25.0, 25.0, cur.shape)
+            sub = _Subproblem(prob, exp_q)
+            q = exp_q + rng.uniform(-30.0, 30.0, cur.shape)
+            xi = rng.uniform(0.5, 5.0, n_suavs)
+            zeta = rng.uniform(0.1, 10.0, sub.n_zeta)
+            rows = sub._constraints_raw(np.concatenate([q.ravel(), xi, zeta]))
+            want = []
+            for i in range(n_suavs):
+                v_exp = float(np.linalg.norm(exp_q[i] - cur[i])) / dt
+                xi_exp = induced_speed_term(v_exp, prob.prop_c3)
+                want.append(surrogate_f(xi[i], q[i], exp_q[i], cur[i], xi_exp,
+                                        dt) - prob.prop_c3 / xi[i] ** 2)
+            for i, asg in enumerate(prob.assignments):
+                for j in range(len(asg.weights)):
+                    want.append(surrogate_g(q[i], exp_q[i],
+                                            asg.ud_positions[j], asg.phi[j],
+                                            prob.altitude)
+                                - zeta[sub.zeta_off[i] + j])
+            for i in range(n_suavs):
+                want.append((prob.v_max * dt) ** 2
+                            - float(np.sum((q[i] - cur[i]) ** 2)))
+            for i in range(n_suavs):
+                for j in range(i + 1, n_suavs):
+                    want.append(surrogate_h(q[i], q[j], exp_q[i], exp_q[j])
+                                - prob.d_min ** 2)
+            np.testing.assert_allclose(rows, want, rtol=1e-9)
 
 
 def test_true_objective_manual_recompute():
