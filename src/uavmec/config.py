@@ -32,6 +32,17 @@ PROP_PARASITE_COEFF = 0.00924  # kg/m
 PROP_TIP_SPEED = 120.0        # m/s
 
 
+def _all_finite(value) -> bool:
+    """False if ``value``, or any entry of a (nested) tuple or list, is a
+    non-finite float; integers, non-numbers and ``None`` count as finite."""
+    if isinstance(value, (tuple, list)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, numbers.Real) \
+            and not isinstance(value, numbers.Integral):
+        return math.isfinite(value)
+    return True
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one simulated system.
@@ -120,6 +131,10 @@ class ScenarioConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        # NaN passes every comparison below, so reject it (and +-inf) first
+        for name in self.__dataclass_fields__:
+            if not _all_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.num_uds < 1:
             raise ValueError("num_uds must be >= 1")
         if self.num_suavs < 1:

@@ -135,20 +135,31 @@ def true_h(q_i, q_j):
 
 
 def true_objective(problem: TrajectoryProblem, positions) -> float:
-    """The actual placement cost at given next positions."""
+    """The actual placement cost at given next positions.
+
+    Terms are added one at a time, in the order SUAV 0's UD rate terms,
+    SUAV 0's propulsion term, SUAV 1's rate terms, and so on.
+    """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    total = 0.0
-    for n, asg in enumerate(problem.assignments):
-        for j in range(len(asg.weights)):
-            g = true_g(positions[n], asg.ud_positions[j], asg.phi[j],
-                       problem.altitude)
-            total += asg.weights[j] / g
-        v = float(np.linalg.norm(positions[n] - problem.current_positions[n])
-                  / problem.dt)
-        total += problem.queue_p[n] * problem.dt * propulsion_power(
-            v, problem.prop_c1, problem.prop_c2, problem.prop_c3,
+    asg = problem.assignments
+    n = len(asg)
+    k_n = [len(a.weights) for a in asg]
+    owner = np.repeat(np.arange(n), k_n)
+    ud = np.concatenate([a.ud_positions for a in asg])
+    d2 = np.sum((positions[owner] - ud) ** 2, axis=1)
+    g = np.log2(1.0 + np.concatenate([a.phi for a in asg])
+                / (problem.altitude ** 2 + d2))
+    # a 1-D norm is sqrt(dot), and dot may round unlike sum(d * d)
+    moved = positions - problem.current_positions
+    speed = np.sqrt([np.dot(e, e) for e in moved]) / problem.dt
+    terms = np.zeros(1 + len(owner) + n)    # the running sum starts at 0.0
+    terms[1 + np.arange(len(owner)) + owner] = \
+        np.concatenate([a.weights for a in asg]) / g
+    terms[np.cumsum(k_n) + np.arange(1, n + 1)] = \
+        problem.queue_p * problem.dt * propulsion_power(
+            speed, problem.prop_c1, problem.prop_c2, problem.prop_c3,
             problem.prop_c4, problem.tip_speed)
-    return float(total)
+    return float(np.add.accumulate(terms)[-1])
 
 
 @dataclass
@@ -160,11 +171,29 @@ class SubproblemSolution:
     kkt_residual: float
 
 
+_EYE2 = np.eye(2).ravel()
+
+
 class _Subproblem:
-    """One convex subproblem instance with packed variables [q, xi, zeta]."""
+    """One convex subproblem instance with packed variables [q, xi, zeta].
+
+    Everything fixed for the instance is built once here: the rate-surrogate
+    coefficients of all UDs as flat arrays with an owner index, the pair
+    arrays, the derived scalars and a Jacobian template holding the constant
+    entries.  Each evaluation is then a few array operations.  Every value
+    is computed with the same floating-point operations, in the same order,
+    as the per-SUAV formulas, so results are bit-for-bit those of the
+    formulas (tests/test_subproblem_kernels.py keeps them as the oracle).
+    Two rules keep it so: a power other than a square is taken per scalar
+    (NumPy's array ``**`` rounds differently), and the separation rows keep
+    ``np.dot`` on 2-vectors (BLAS may fuse its multiply-add).
+
+    Constraint rows are ordered: induced-term surrogates (N), rate
+    surrogates (K, SUAV by SUAV), speed balls (N), separations (pairs).
+    """
 
     def __init__(self, problem: TrajectoryProblem, expansion: np.ndarray):
-        self.p = problem
+        self.p = p = problem
         n = problem.n_suavs
         self.n = n
         self.exp = np.asarray(expansion, dtype=float).reshape(n, 2)
@@ -174,30 +203,91 @@ class _Subproblem:
         self.v_exp = np.linalg.norm(diff, axis=1) / self.dt
         self.xi_exp = induced_speed_term(self.v_exp, problem.prop_c3)
         self.f_lin = 2.0 / self.dt ** 2 * diff          # (N,2)
-        self.k_n = [len(a.weights) for a in problem.assignments]
-        self.n_zeta = int(sum(self.k_n))
-        self.zeta_off = np.cumsum([0] + self.k_n)
-        self.n_var = 2 * n + n + self.n_zeta
+        asg = problem.assignments
+        k_n = [len(a.weights) for a in asg]
+        self.n_zeta = k = sum(k_n)
+        self.zeta_off = np.cumsum([0] + k_n)
+        self.n_var = nv = 3 * n + k
         self.lb = np.concatenate([np.full(2 * n, -np.inf),
                                   np.full(n, XI_FLOOR),
-                                  np.full(self.n_zeta, ZETA_FLOOR)])
-        # rate-surrogate coefficients at the expansion
-        self.g_exp, self.g_slope, self.g_d2exp = [], [], []
-        for i, asg in enumerate(problem.assignments):
-            d2 = np.sum((self.exp[i] - asg.ud_positions) ** 2, axis=1)
-            den = problem.altitude ** 2 + d2
-            self.g_d2exp.append(d2)
-            self.g_exp.append(np.log2(1.0 + asg.phi / den))
-            self.g_slope.append(asg.phi * LOG2E / (den * (den + asg.phi)))
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.pair_e = [self.exp[i] - self.exp[j] for i, j in self.pairs]
-        self.n_con = n + self.n_zeta + n + len(self.pairs)
+                                  np.full(k, ZETA_FLOOR)])
+        self._segments = [(int(lo), int(hi)) for lo, hi
+                          in zip(self.zeta_off[:-1], self.zeta_off[1:])
+                          if hi > lo]
+        # rate-surrogate coefficients at the expansion, one entry per UD
+        rows = np.arange(n)
+        owner = np.repeat(rows, k_n)
+        self.ud = np.concatenate([a.ud_positions for a in asg])
+        self.w = np.concatenate([a.weights for a in asg])
+        phi = np.concatenate([a.phi for a in asg])
+        self.g_d2exp = np.add.reduce((self.exp[owner] - self.ud) ** 2, axis=1)
+        den = p.altitude ** 2 + self.g_d2exp
+        self.g_exp = np.log2(1.0 + phi / den)
+        self.g_slope = phi * LOG2E / (den * (den + phi))
+        # the curved rows (induced, rate, speed) each read one position
+        # q_s - ref: s and ref are (i, cur_i), (owner, ud) and (i, cur_i)
+        self._pos_idx = 2 * np.concatenate([rows, owner, rows])[:, None] \
+            + [0, 1]
+        self._pos_ref = np.concatenate([self.cur, self.ud, self.cur])
+        # rate and speed rows are top - curv * (||q_s - ref||^2 - base);
+        # the speed row's unit curvature and zero base leave it exact
+        self._row_top = np.concatenate([self.g_exp,
+                                        np.full(n, (p.v_max * self.dt) ** 2)])
+        self._row_curv = np.concatenate([self.g_slope, np.ones(n)])
+        self._row_base = np.concatenate([self.g_d2exp, np.zeros(n)])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pair_i = np.array([i for i, _ in pairs], dtype=int)
+        pair_j = np.array([j for _, j in pairs], dtype=int)
+        self._pair_qi = 2 * pair_i[:, None] + [0, 1]
+        self._pair_qj = 2 * pair_j[:, None] + [0, 1]
+        self.pair_e = self.exp[pair_i] - self.exp[pair_j]
+        self.pair_ee = np.array([np.dot(e, e) for e in self.pair_e])
+        self.n_con = 2 * n + k + len(pairs)
+        # derived scalars and vectors of the objective and the rows
+        self.coef = p.queue_p * self.dt
+        self.grad_xi = self.coef * p.prop_c2
+        self.neg_w = -self.w
+        self.dt2, self.dt3 = self.dt ** 2, self.dt ** 3
+        self.blade = p.prop_c1 * 3.0
+        self.tip2 = p.tip_speed ** 2
+        self.blade_grad = 6.0 * p.prop_c1 / (self.tip2 * self.dt2)
+        self.parasite_grad = 3.0 * p.prop_c4
+        self.xi_exp2 = 2.0 * self.xi_exp
+        self.xi_exp_sq, self.v_exp_sq = self.xi_exp ** 2, self.v_exp ** 2
+        self.c3x2 = 2.0 * p.prop_c3
+        self.d_min2 = p.d_min ** 2
+        # raw Jacobian: constant entries (f_lin, the -1 of each zeta, the
+        # separation rows) in a template; the xi diagonal and the position
+        # entries of the rate and speed rows vary, at flat indices _var_idx
+        sep = (2 * n + k + np.arange(len(pairs)))[:, None] * nv
+        jac = np.zeros((self.n_con, nv))
+        jac.flat[np.concatenate([
+            (rows[:, None] * nv + self._pos_idx[:n]).ravel(),
+            (n + np.arange(k)) * nv + 3 * n + np.arange(k),
+            (sep + self._pair_qi).ravel(),
+            (sep + self._pair_qj).ravel()])] = np.concatenate([
+                self.f_lin.ravel(), np.full(k, -1.0),
+                (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
+        self._jac_raw = jac
+        self._var_idx = np.concatenate([
+            rows * nv + 2 * n + rows,
+            ((n + np.arange(k + n))[:, None] * nv
+             + self._pos_idx[n:]).ravel()])
+        self._neg_curv = -self._row_curv
+        # Hessian targets: the 2x2 position block of each SUAV, and the
+        # block of the SUAV each rate or speed row reads
+        block = 2 * rows[:, None] * (nv + 1) + [0, 1, nv, nv + 1]
+        self._block_idx = block.ravel()
+        self._row_block = block[np.concatenate([owner, rows])]
         self.scale = 1.0
         # normalize constraint rows by their gradient norm at the start so
         # the solver's feasibility precision is relative, not absolute
-        self.con_scale = np.ones(self.n_con)
         raw = self._constraints_jac_raw(self.initial_point())
         self.con_scale = 1.0 / (1.0 + np.linalg.norm(raw, axis=1))
+        # scaled Jacobian with the finite variable bounds as extra rows
+        self._kkt_a = np.vstack([jac * self.con_scale[:, None],
+                                 np.eye(nv)[2 * n:]])
+        self._var_scale = self.con_scale[self._var_idx // nv]
 
     # -- variable packing -------------------------------------------------
     def unpack(self, x):
@@ -208,45 +298,34 @@ class _Subproblem:
         return q, xi, zeta
 
     def initial_point(self):
-        x0 = np.concatenate([self.exp.ravel(), self.xi_exp,
-                             np.concatenate([g for g in self.g_exp])
-                             if self.n_zeta else np.zeros(0)])
-        return x0
+        return np.concatenate([self.exp.ravel(), self.xi_exp, self.g_exp])
 
     # -- objective ---------------------------------------------------------
     def objective(self, x):
-        q, xi, zeta = self.unpack(x)
+        n = self.n
         p = self.p
+        ratio = self.w / x[3 * n:]
         total = 0.0
-        for i in range(self.n):
-            lo, hi = self.zeta_off[i], self.zeta_off[i + 1]
-            if hi > lo:
-                total += np.sum(p.assignments[i].weights / zeta[lo:hi])
-        d = q - self.cur
-        dist = np.linalg.norm(d, axis=1)
-        v2 = np.sum(d * d, axis=1) / self.dt ** 2
-        prop = p.prop_c1 * 3.0 * v2 / p.tip_speed ** 2 \
-            + p.prop_c2 * xi + p.prop_c4 * dist ** 3 / self.dt ** 3 \
-            + p.prop_c1
-        total += np.sum(p.queue_p * self.dt * prop)
+        for lo, hi in self._segments:
+            total += np.add.reduce(ratio[lo:hi])
+        d = x[self._pos_idx[:n]] - self.cur
+        ss = np.add.reduce(d * d, axis=1)
+        prop = self.blade * (ss / self.dt2) / self.tip2 \
+            + p.prop_c2 * x[2 * n:3 * n] \
+            + p.prop_c4 * np.sqrt(ss) ** 3 / self.dt3 + p.prop_c1
+        total += np.add.reduce(self.coef * prop)
         return total / self.scale
 
     def gradient(self, x):
-        q, xi, zeta = self.unpack(x)
-        p = self.p
-        g = np.zeros_like(x)
-        for i in range(self.n):
-            lo, hi = self.zeta_off[i], self.zeta_off[i + 1]
-            if hi > lo:
-                g[3 * self.n + lo:3 * self.n + hi] = \
-                    -p.assignments[i].weights / zeta[lo:hi] ** 2
-        coef = p.queue_p * self.dt
-        g[2 * self.n:3 * self.n] = coef * p.prop_c2
-        d = q - self.cur
-        dist = np.linalg.norm(d, axis=1)
-        factor = coef * (6.0 * p.prop_c1 / (p.tip_speed ** 2 * self.dt ** 2)
-                         + 3.0 * p.prop_c4 * dist / self.dt ** 3)
-        g[:2 * self.n] = (factor[:, None] * d).ravel()
+        n = self.n
+        g = np.empty_like(x)
+        g[3 * n:] = self.neg_w / x[3 * n:] ** 2
+        g[2 * n:3 * n] = self.grad_xi
+        d = x[self._pos_idx[:n]] - self.cur
+        factor = self.coef * (self.blade_grad + self.parasite_grad
+                              * np.sqrt(np.add.reduce(d * d, axis=1))
+                              / self.dt3)
+        g[:2 * n] = (factor[:, None] * d).ravel()
         return g / self.scale
 
     # -- constraints (vector c(x) >= 0) -------------------------------------
@@ -254,62 +333,52 @@ class _Subproblem:
         return self._constraints_raw(x) * self.con_scale
 
     def constraints_jac(self, x):
-        return self._constraints_jac_raw(x) * self.con_scale[:, None]
+        return self._kkt_jac(x)[:self.n_con]
 
     def _constraints_raw(self, x):
-        q, xi, zeta = self.unpack(x)
-        p = self.p
+        n, k = self.n, self.n_zeta
+        xi = x[2 * n:3 * n]
         c = np.empty(self.n_con)
+        # per curved row: f_lin.(q - cur) for the induced rows, and
+        # ||q_s - ref||^2 for the rate and speed rows
+        pos = x[self._pos_idx] - self._pos_ref
+        sq = pos * pos
+        sq[:n] = self.f_lin * pos[:n]
+        sq = np.add.reduce(sq, axis=1)
         # induced-term surrogate: f_sur - c3/xi^2 >= 0
-        lin = np.sum(self.f_lin * (q - self.cur), axis=1)
-        f_sur = 2.0 * self.xi_exp * xi - self.xi_exp ** 2 \
-            - self.v_exp ** 2 + lin
-        c[:self.n] = f_sur - p.prop_c3 / xi ** 2
-        # rate surrogates: g_sur - zeta >= 0
-        for i in range(self.n):
-            lo, hi = self.zeta_off[i], self.zeta_off[i + 1]
-            if hi == lo:
-                continue
-            d2 = np.sum((q[i] - p.assignments[i].ud_positions) ** 2, axis=1)
-            g_sur = self.g_exp[i] - self.g_slope[i] * (d2 - self.g_d2exp[i])
-            c[self.n + lo:self.n + hi] = g_sur - zeta[lo:hi]
-        # speed: (v_max dt)^2 - ||q - cur||^2 >= 0
-        base = self.n + self.n_zeta
-        d = q - self.cur
-        c[base:base + self.n] = (p.v_max * self.dt) ** 2 - np.sum(d * d,
-                                                                  axis=1)
+        c[:n] = self.xi_exp2 * xi - self.xi_exp_sq - self.v_exp_sq \
+            + sq[:n] - self.p.prop_c3 / xi ** 2
+        # rate surrogates g_sur - zeta >= 0; speed (v_max dt)^2 - |d|^2 >= 0
+        c[n:2 * n + k] = self._row_top - self._row_curv \
+            * (sq[n:] - self._row_base)
+        c[n:n + k] -= x[3 * n:]
         # separation: 2 e_exp.(q_i - q_j) - ||e_exp||^2 - d_min^2 >= 0
-        for k, (i, j) in enumerate(self.pairs):
-            e_exp = self.pair_e[k]
-            c[base + self.n + k] = 2.0 * np.dot(e_exp, q[i] - q[j]) \
-                - np.dot(e_exp, e_exp) - p.d_min ** 2
+        if len(self.pair_e):
+            dots = [np.dot(e, f) for e, f in
+                    zip(self.pair_e, x[self._pair_qi] - x[self._pair_qj])]
+            c[2 * n + k:] = 2.0 * np.array(dots) - self.pair_ee \
+                - self.d_min2
         return c
 
+    def _jac_values(self, x):
+        """The Jacobian entries that vary with x, in ``_var_idx`` order."""
+        n = self.n
+        cube = np.array([v ** 3 for v in x[2 * n:3 * n]])
+        return np.concatenate([
+            self.xi_exp2 + self.c3x2 / cube,
+            (self._neg_curv[:, None] * (2.0 * (x[self._pos_idx[n:]]
+                                              - self._pos_ref[n:]))).ravel()])
+
     def _constraints_jac_raw(self, x):
-        q, xi, zeta = self.unpack(x)
-        p = self.p
-        jac = np.zeros((self.n_con, self.n_var))
-        for i in range(self.n):
-            jac[i, 2 * i:2 * i + 2] = self.f_lin[i]
-            jac[i, 2 * self.n + i] = 2.0 * self.xi_exp[i] \
-                + 2.0 * p.prop_c3 / xi[i] ** 3
-        for i in range(self.n):
-            lo, hi = self.zeta_off[i], self.zeta_off[i + 1]
-            if hi == lo:
-                continue
-            rows = slice(self.n + lo, self.n + hi)
-            dq = 2.0 * (q[i][None, :] - p.assignments[i].ud_positions)
-            jac[rows, 2 * i:2 * i + 2] = -self.g_slope[i][:, None] * dq
-            jac[np.arange(self.n + lo, self.n + hi),
-                3 * self.n + np.arange(lo, hi)] = -1.0
-        base = self.n + self.n_zeta
-        for i in range(self.n):
-            jac[base + i, 2 * i:2 * i + 2] = -2.0 * (q[i] - self.cur[i])
-        for k, (i, j) in enumerate(self.pairs):
-            e_exp = self.pair_e[k]
-            jac[base + self.n + k, 2 * i:2 * i + 2] = 2.0 * e_exp
-            jac[base + self.n + k, 2 * j:2 * j + 2] = -2.0 * e_exp
+        jac = self._jac_raw.copy()
+        jac.flat[self._var_idx] = self._jac_values(x)
         return jac
+
+    def _kkt_jac(self, x):
+        """Scaled constraint Jacobian above the finite variable-bound rows."""
+        a = self._kkt_a.copy()
+        a.flat[self._var_idx] = self._jac_values(x) * self._var_scale
+        return a
 
     def bounds(self):
         return list(zip(self.lb, np.full(self.n_var, np.inf)))
@@ -339,55 +408,54 @@ class _Subproblem:
         q, xi, zeta = self.unpack(x)
         p = self.p
         h = np.zeros((self.n_var, self.n_var))
-        if self.n_zeta:
-            idx = 3 * self.n + np.arange(self.n_zeta)
-            wts = np.concatenate([a.weights for a in p.assignments
-                                  if len(a.weights)])
-            h[idx, idx] = 2.0 * wts / zeta ** 3
-        coef = p.queue_p * self.dt
+        zi = 3 * self.n + np.arange(self.n_zeta)
+        h[zi, zi] = 2.0 * self.w / zeta ** 3
         d = q - self.cur
         dist = np.linalg.norm(d, axis=1)
-        for i in range(self.n):
-            sl = slice(2 * i, 2 * i + 2)
-            block = coef[i] * 6.0 * p.prop_c1 \
-                / (p.tip_speed ** 2 * self.dt ** 2) * np.eye(2)
-            if dist[i] > 1e-12:
-                block = block + coef[i] * 3.0 * p.prop_c4 / self.dt ** 3 \
-                    * (dist[i] * np.eye(2) + np.outer(d[i], d[i]) / dist[i])
-            h[sl, sl] += block
+        blade = self.coef * 6.0 * p.prop_c1 / (self.tip2 * self.dt2)
+        block = blade[:, None] * _EYE2
+        m = dist > 1e-12
+        if m.any():
+            dm, rm = d[m], dist[m][:, None]
+            outer = (dm[:, :, None] * dm[:, None, :]).reshape(-1, 4)
+            parasite = self.coef[m] * 3.0 * p.prop_c4 / self.dt3
+            block[m] = block[m] + parasite[:, None] * (rm * _EYE2
+                                                       + outer / rm)
+        h.flat[self._block_idx] += block.ravel()
         return h
 
     def lagrangian_hessian(self, x, rows, lam):
-        """Hessian of f - sum lam_k c_k over the given constraint rows."""
-        q, xi, zeta = self.unpack(x)
-        p = self.p
+        """Hessian of f - sum lam_k c_k over the given constraint rows.
+
+        Bound rows and separation rows are linear and add nothing.  Terms
+        that land on one entry are added in the order of ``rows``.
+        """
+        _, xi, _ = self.unpack(x)
         h = self.objective_hessian(x)
-        for lam_k, row in zip(lam, rows):
-            if row >= self.n_con or lam_k == 0.0:
-                continue     # bound rows and separation rows are linear
-            s = lam_k * self.con_scale[row]
-            if row < self.n:                      # induced-term surrogate
-                i = row
-                h[2 * self.n + i, 2 * self.n + i] += \
-                    s * 6.0 * p.prop_c3 / xi[i] ** 4
-            elif row < self.n + self.n_zeta:      # rate surrogate
-                k = row - self.n
-                i = int(np.searchsorted(self.zeta_off, k, side="right")) - 1
-                slope = self.g_slope[i][k - self.zeta_off[i]]
-                sl = slice(2 * i, 2 * i + 2)
-                h[sl, sl] += s * 2.0 * slope * np.eye(2)
-            elif row < 2 * self.n + self.n_zeta:  # speed ball
-                i = row - self.n - self.n_zeta
-                sl = slice(2 * i, 2 * i + 2)
-                h[sl, sl] += s * 2.0 * np.eye(2)
+        rows = np.asarray(rows, dtype=int)
+        lam = np.asarray(lam, dtype=float)
+        keep = (rows < 2 * self.n + self.n_zeta) & (lam != 0.0)
+        rows = rows[keep]
+        s = lam[keep] * self.con_scale[rows]
+        ind = rows < self.n                       # induced-term surrogates
+        if ind.any():
+            i = rows[ind]
+            quart = np.array([xi[j] ** 4 for j in i])
+            np.add.at(h.reshape(-1), (2 * self.n + i) * (self.n_var + 1),
+                      s[ind] * 6.0 * self.p.prop_c3 / quart)
+        curved = ~ind                             # rate surrogates, speed
+        if curved.any():
+            r = rows[curved] - self.n
+            m = s[curved] * 2.0 * self._row_curv[r]
+            np.add.at(h.reshape(-1), self._row_block[r].ravel(),
+                      (m[:, None] * _EYE2).ravel())
         return h
 
     def _kkt_rows(self, x):
         """Constraint rows plus finite variable bounds, as (matrix, values)."""
-        finite = np.isfinite(self.lb)
-        a = np.vstack([self.constraints_jac(x), np.eye(self.n_var)[finite]])
-        c = np.concatenate([self.constraints(x), (x - self.lb)[finite]])
-        return a, c
+        c = np.concatenate([self.constraints(x),
+                            x[2 * self.n:] - self.lb[2 * self.n:]])
+        return self._kkt_jac(x), c
 
     def kkt_polish(self, x, active_tol: float = 1e-5, max_rounds: int = 4):
         """Newton iterations on the active-set KKT system.
@@ -399,23 +467,21 @@ class _Subproblem:
         """
         x = np.asarray(x, dtype=float).copy()
         a, c = self._kkt_rows(x)
+        grad = self.gradient(x) * self.scale
         rn = 1.0 + np.linalg.norm(a, axis=1)
         work = np.flatnonzero(c / rn <= active_tol)
-        grad = self.gradient(x) * self.scale
         lam, _ = nnls(a[work].T, grad) if len(work) else (np.zeros(0), 0.0)
 
-        def residual(x, lam, work):
-            a, c = self._kkt_rows(x)
-            grad = self.gradient(x) * self.scale
+        def residual(a, c, grad, lam, work):
             stat = grad - a[work].T @ lam if len(work) else grad
-            return stat, c[work], a
+            return np.concatenate([stat, c[work]])
 
+        # a, c and grad always belong to the current x
         for _ in range(max_rounds):
             for _ in range(30):
-                stat, feas, a = residual(x, lam, work)
-                err = np.linalg.norm(np.concatenate([stat, feas]))
-                if err < 1e-12 * (1.0 + np.abs(self.gradient(x)
-                                               * self.scale).max()):
+                res = residual(a, c, grad, lam, work)
+                err = np.linalg.norm(res)
+                if err < 1e-12 * (1.0 + np.abs(grad).max()):
                     break
                 h = self.lagrangian_hessian(x, work, lam)
                 k = len(work)
@@ -424,7 +490,7 @@ class _Subproblem:
                 if k:
                     kkt[:self.n_var, self.n_var:] = -a[work].T
                     kkt[self.n_var:, :self.n_var] = a[work]
-                rhs = -np.concatenate([stat, feas])
+                rhs = -res
                 try:
                     step = np.linalg.solve(kkt, rhs)
                 except np.linalg.LinAlgError:
@@ -434,15 +500,17 @@ class _Subproblem:
                 for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
                     x_new = x + damp * step[:self.n_var]
                     lam_new = lam + damp * step[self.n_var:]
-                    s_new, f_new, _ = residual(x_new, lam_new, work)
-                    if np.linalg.norm(np.concatenate([s_new, f_new])) < err:
+                    a_new, c_new = self._kkt_rows(x_new)
+                    grad_new = self.gradient(x_new) * self.scale
+                    if np.linalg.norm(residual(a_new, c_new, grad_new,
+                                               lam_new, work)) < err:
                         x, lam = x_new, lam_new
+                        a, c, grad = a_new, c_new, grad_new
                         improved = True
                         break
                 if not improved:
                     break
             # working-set repair
-            a, c = self._kkt_rows(x)
             rn = 1.0 + np.linalg.norm(a, axis=1)
             neg = lam < -1e-9
             violated = np.setdiff1d(np.flatnonzero(c / rn < -1e-12), work)

@@ -109,3 +109,44 @@ def test_budget_split_explicit_override():
 
 def test_profiles_registry():
     assert set(PROFILES) == {"desk", "paper"}
+
+
+FLOAT_FIELDS = [name for name, value in ScenarioConfig().to_dict().items()
+                if isinstance(value, float)]
+TUPLE_FIELDS = [name for name, value in ScenarioConfig().to_dict().items()
+                if isinstance(value, list)]
+
+
+def test_every_float_and_tuple_field_is_checked():
+    assert {"suav_max_speed", "min_separation", "lyapunov_v", "suav_compute",
+            "mobility_sigma", "gamma_time"} <= set(FLOAT_FIELDS)
+    assert len(FLOAT_FIELDS) + len(TUPLE_FIELDS) >= 40
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_validate_rejects_non_finite_float_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        desk_profile(**{name: value})
+
+
+@pytest.mark.parametrize("name", TUPLE_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_validate_rejects_non_finite_tuple_entries(name, value):
+    entries = desk_profile().to_dict()[name]
+    if isinstance(entries[-1], list):       # suav_initial_positions
+        entries[-1] = [entries[-1][0], value]
+    else:
+        entries[-1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        desk_profile(**{name: entries})
+
+
+@pytest.mark.parametrize("name", ["budget_propulsion", "budget_compute"])
+def test_budget_overrides_may_be_none_but_not_non_finite(name):
+    assert getattr(desk_profile(**{name: None}), name) is None
+    assert getattr(desk_profile(**{name: 100.0}), name) == 100.0
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            desk_profile(**{name: value})
