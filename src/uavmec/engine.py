@@ -171,27 +171,35 @@ def build_game_context(world: World, queues: QueueState,
 
 def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
              rates: np.ndarray):
-    """Per-UD delay/energy/cost under the slot's decisions."""
+    """Per-UD delay/energy/cost under the slot's decisions.
+
+    The formulas of ``compute``'s scalar functions, applied to the local
+    UDs and to the offloaded UDs with data in the same operation order; a
+    zero-size offloaded task costs nothing.
+    """
     cfg = world.config
     d, eta, tmax = world.task_arrays()
-    m_total = cfg.num_uds
     f_max = _per_server(cfg, cfg.suav_compute, cfg.luav_compute)
-    delays = np.zeros(m_total)
-    energies = np.zeros(m_total)
-    for m in range(m_total):
-        s = int(profile[m])
-        if s == LOCAL:
-            delays[m] = cm.local_delay(d[m], eta[m], world.ud_compute[m])
-            energies[m] = cm.local_energy(d[m], eta[m], world.ud_compute[m],
-                                          cfg.effective_capacitance)
-        elif d[m] == 0:
-            delays[m] = 0.0
-            energies[m] = 0.0
-        else:
-            rate = alloc.w[s, m] * rates[s, m]
-            f_alloc = alloc.z[s, m] * f_max[s]
-            delays[m] = cm.edge_delay(d[m], eta[m], rate, f_alloc)
-            energies[m] = cm.edge_ud_energy(d[m], rate, cfg.ud_tx_power)
+    delays = np.zeros(cfg.num_uds)
+    energies = np.zeros(cfg.num_uds)
+
+    local = profile == LOCAL
+    f_ud = world.ud_compute[local]
+    # scalar ** (C pow) as in local_energy: array ** squares by x*x, which
+    # can round differently
+    f_sq = np.array([f ** 2 for f in f_ud.tolist()])
+    delays[local] = eta[local] * d[local] / f_ud
+    energies[local] = cfg.effective_capacitance * f_sq * eta[local] \
+        * d[local]
+
+    ud = np.flatnonzero(~local & (d != 0))
+    srv = profile[ud]
+    rate = alloc.w[srv, ud] * rates[srv, ud]
+    f_alloc = alloc.z[srv, ud] * f_max[srv]
+    if np.any(rate <= 0) or np.any(f_alloc <= 0):
+        raise ValueError("allocated rate and compute must be positive")
+    delays[ud] = d[ud] / rate + eta[ud] * d[ud] / f_alloc
+    energies[ud] = cfg.ud_tx_power * d[ud] / rate
     costs = cm.ud_cost(delays, energies, cfg.gamma_time, cfg.gamma_energy)
     return delays, energies, costs
 

@@ -15,6 +15,14 @@ a best response costs O(S) and an accepted move O(M) for the two servers it
 touches.  Because the ordered double sum of one server equals
 1/2 [(sum x)^2 + sum x^2], the same sums give the potential of a server in
 closed form, and the strict-descent check on each move costs O(1).
+
+A best response prices the S servers in one Python loop over Python floats:
+``GameContext.ud_rows[m]`` holds UD m's per-server constants and
+``MemberSums`` keeps the member sums as lists, so no NumPy call is made
+per server (S is at most a handful, where NumPy's per-call cost would
+dominate).  Python and NumPy round float64 add, multiply and divide alike,
+so evaluating the same expressions in the same grouping gives the same bits
+as an array evaluation would; the tests hold it to an array reference.
 """
 from __future__ import annotations
 
@@ -31,10 +39,18 @@ DEADLINE_SLACK = 1e-12
 
 @dataclass
 class GameContext:
-    """Immutable per-slot snapshot consumed by stage 1.
+    """Per-slot inputs of stage 1 and the per-UD constants derived from them.
 
     ``rates`` holds full-band transmission rates, shape (S, M) with the LUAV
     last.  ``queue_weight`` is Q_n^c/V for SUAV rows and 0 for the LUAV.
+
+    ``deadline``, ``allow_local``, ``uniform_shares`` and ``tiebreak_rng``
+    are read live on every use, so they may be edited in place between
+    calls.  Everything else feeds the derived fields built by
+    ``__post_init__``: after editing ``rates``, ``f_max``, ``queue_weight``,
+    the task data (``data_bits``, ``cycles_per_bit``, ``ud_compute``,
+    ``tx_power``) or ``gamma_time``/``gamma_energy``, call
+    ``__post_init__()`` again.
     """
     n_suavs: int
     data_bits: np.ndarray
@@ -63,6 +79,8 @@ class GameContext:
     exec_base: np.ndarray = field(init=False, repr=False)
     member_cost: np.ndarray = field(init=False, repr=False)
     member_terms: np.ndarray = field(init=False, repr=False)
+    ud_rows: list = field(init=False, repr=False)
+    queue_weight_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.data_bits
@@ -88,6 +106,15 @@ class GameContext:
         self.member_terms = np.stack(
             [self.beta, self.phi, self.beta ** 2, self.phi ** 2,
              np.broadcast_to(self.edge_energy, self.beta.shape)], axis=1)
+        # what one best response reads, as Python floats: per UD the
+        # per-server beta, phi, D/r, eta*D/F and uniform-share cost, then
+        # its edge energy, local cost and zero-size flag
+        self.ud_rows = list(zip(
+            self.beta.T.tolist(), self.phi.T.tolist(),
+            self.trans_base.T.tolist(), self.exec_base.T.tolist(),
+            self.member_cost.T.tolist(), self.edge_energy.tolist(),
+            self.local_cost.tolist(), (d == 0).tolist()))
+        self.queue_weight_list = self.queue_weight.tolist()
 
     @property
     def n_servers(self) -> int:
@@ -102,8 +129,9 @@ class MemberSums:
     """Per-server sums over the members of a profile, kept across moves.
 
     ``totals[s]`` holds sum(beta), sum(phi), sum(beta^2), sum(phi^2) and the
-    summed edge energy over the members of server s; ``count[s]`` is their
-    number.  Each row is rebuilt by the same reduction as a fresh build,
+    summed edge energy over the members of server s, as a list of Python
+    floats; ``members[s]`` is their number.  Each row is rebuilt by the
+    same reduction as a fresh build,
     ``(x[s] * (profile == s)).sum()``, so the sums after any sequence of
     ``refresh`` calls equal a fresh build bit for bit, and no utility,
     deadline test or tie depends on the order of earlier moves.
@@ -111,18 +139,10 @@ class MemberSums:
 
     def __init__(self, profile: np.ndarray, ctx: GameContext):
         self.ctx = ctx
-        self.totals = np.empty((ctx.n_servers, 5))
-        self.count = np.empty(ctx.n_servers, dtype=int)
+        self.totals = [None] * ctx.n_servers
+        self.members = [0] * ctx.n_servers
         for s in range(ctx.n_servers):
             self.refresh(profile, s)
-
-    @property
-    def sum_b(self) -> np.ndarray:
-        return self.totals[:, 0]
-
-    @property
-    def sum_p(self) -> np.ndarray:
-        return self.totals[:, 1]
 
     def refresh(self, profile: np.ndarray, s: int) -> None:
         """Rebuild the sums of server ``s`` (no-op for LOCAL) from
@@ -130,17 +150,17 @@ class MemberSums:
         if s == LOCAL:
             return
         mask = profile == s
-        self.totals[s] = (self.ctx.member_terms[s] * mask).sum(axis=1)
-        self.count[s] = np.count_nonzero(mask)
+        self.totals[s] = (self.ctx.member_terms[s] * mask).sum(axis=1).tolist()
+        self.members[s] = int(np.count_nonzero(mask))
 
     def server_potential(self, s: int) -> float:
         """Potential terms of server ``s`` in closed form:
         1/2 [(sum b)^2 + sum b^2] + 1/2 [(sum p)^2 + sum p^2] + qw_s sum E,
         which equals ``potential``'s ordered double sums over its members
         plus its queue term."""
-        b, p, b2, p2, e = self.totals[s].tolist()
+        b, p, b2, p2, e = self.totals[s]
         return (0.5 * (b * b + b2) + 0.5 * (p * p + p2)
-                + float(self.ctx.queue_weight[s]) * e)
+                + self.ctx.queue_weight_list[s] * e)
 
     def move_potential(self, m: int, strategy: int, servers) -> float:
         """The part of the potential a move of UD m among ``servers`` can
@@ -190,51 +210,61 @@ def best_response(m: int, profile: np.ndarray, ctx: GameContext,
     mode under pressure) every edge option becomes a candidate and the
     result is flagged.
     """
-    # member sums of every server with m joined (m's own server unchanged)
+    beta, phi, trans, exe, member_cost, energy, local_cost, empty = \
+        ctx.ud_rows[m]
     cur = int(profile[m])
-    joined_b = sums.sum_b + ctx.beta[:, m]
-    joined_p = sums.sum_p + ctx.phi[:, m]
-    joined_n = sums.count + 1
-    if cur != LOCAL:
-        joined_b[cur] = sums.sum_b[cur]
-        joined_p[cur] = sums.sum_p[cur]
-        joined_n[cur] = sums.count[cur]
-
-    queue_term = ctx.queue_weight * ctx.edge_energy[m]
-    if ctx.uniform_shares:
-        u = queue_term + joined_n * ctx.member_cost[:, m]
+    uniform = ctx.uniform_shares
+    limit = float(ctx.deadline[m]) + DEADLINE_SLACK
+    if ctx.allow_local:
+        best_u, best = local_cost, [LOCAL]
     else:
-        u = queue_term + ctx.beta[:, m] * joined_b + ctx.phi[:, m] * joined_p
-    utilities: dict[int, float] = dict(enumerate(u.tolist()))
+        best_u, best = None, []
+    prices = []
+    utilities: dict[int, float] = {}   # feasible servers, then LOCAL
+    for s, qw in enumerate(ctx.queue_weight_list):
+        # member sums of s with m joined (m's own server unchanged)
+        jb, jp, _, _, _ = sums.totals[s]
+        jn = sums.members[s]
+        if s != cur:
+            jb += beta[s]
+            jp += phi[s]
+            jn += 1
+        if uniform:
+            u = qw * energy + jn * member_cost[s]
+        else:
+            u = qw * energy + beta[s] * jb + phi[s] * jp
+        prices.append(u)
+        # completion delay under the re-derived shares against the deadline
+        if empty:
+            fits = 0.0 <= limit
+        elif uniform:
+            fits = jn * (trans[s] + exe[s]) <= limit
+        else:
+            w = phi[s] / jp if jp > 0 else 1.0 / jn
+            z = beta[s] / jb if jb > 0 else 1.0 / jn
+            # a zero share means an unbounded delay
+            fits = w > 0.0 and z > 0.0 and trans[s] / w + exe[s] / z <= limit
+        if fits:
+            utilities[s] = u
+            if best_u is None or u < best_u:
+                best_u, best = u, [s]
+            elif u == best_u:
+                best.append(s)
 
-    # completion delay on each server under the re-derived shares
-    if ctx.data_bits[m] == 0:
-        delay = np.zeros(ctx.n_servers)
-    elif ctx.uniform_shares:
-        delay = joined_n * (ctx.trans_base[:, m] + ctx.exec_base[:, m])
-    else:
-        w_share = np.divide(1.0, joined_n)
-        np.divide(ctx.phi[:, m], joined_p, out=w_share, where=joined_p > 0)
-        z_share = np.divide(1.0, joined_n)
-        np.divide(ctx.beta[:, m], joined_b, out=z_share, where=joined_b > 0)
-        delay = ctx.trans_base[:, m] / w_share + ctx.exec_base[:, m] / z_share
-    fits = delay <= ctx.deadline[m] + DEADLINE_SLACK
-
-    candidates = [s for s, ok in enumerate(fits.tolist()) if ok]
     fallback = False
     if ctx.allow_local:
-        utilities[LOCAL] = float(ctx.local_cost[m])
-        candidates = [LOCAL] + candidates
-    elif not candidates:
-        candidates = list(range(ctx.n_servers))
+        candidates = (LOCAL, *utilities)
+        utilities[LOCAL] = local_cost
+    elif utilities:
+        candidates = tuple(utilities)
+    else:
+        candidates = tuple(range(len(prices)))
+        utilities = dict(enumerate(prices))
+        best_u = min(prices)
+        best = [s for s in candidates if prices[s] == best_u]
         fallback = True
-
-    best_u = min(utilities[a] for a in candidates)
-    best = tuple(sorted(a for a in candidates if utilities[a] == best_u))
-    return BestResponse(best=best, best_utility=best_u,
-                        candidates=tuple(candidates),
-                        utilities={a: utilities[a] for a in utilities
-                                   if a in candidates or a == LOCAL},
+    return BestResponse(best=tuple(best), best_utility=best_u,
+                        candidates=candidates, utilities=utilities,
                         fallback=fallback)
 
 

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from uavmec import compute as cm
-from uavmec.config import desk_profile
-from uavmec.engine import (APPROACHES, SlotDecision, _slot_channel,
+from uavmec.config import desk_profile, paper_profile
+from uavmec.engine import (APPROACHES, SlotDecision, _realize, _slot_channel,
+                           build_game_context,
                            run_simulation, run_slot)
-from uavmec.game import LOCAL
+from uavmec.game import LOCAL, run_stage1
 from uavmec.lyapunov import dpp_objective, init_queues
 from uavmec.results import (read_summary, slot_header, write_slot_csv,
                             write_summary_json, write_trajectory_csv)
-from uavmec.scenario import build_scenario
+from uavmec.scenario import (TaskSpec, build_scenario, resample_tasks,
+                             step_mobility)
 
 
 def tiny_config(**overrides):
@@ -212,34 +214,105 @@ def test_audit_flags_separation_breach():
     assert any("separation" in m for m in msgs)
 
 
+def loop_realize(world, profile, alloc, rates):
+    """Per-UD loop over compute's scalar formulas: the reference for
+    ``_realize``."""
+    cfg = world.config
+    d, eta, _ = world.task_arrays()
+    f_max = np.concatenate([np.full(cfg.num_suavs, cfg.suav_compute),
+                            [cfg.luav_compute]])
+    delays = np.zeros(cfg.num_uds)
+    energies = np.zeros(cfg.num_uds)
+    for m in range(cfg.num_uds):
+        s = int(profile[m])
+        if s == LOCAL:
+            delays[m] = cm.local_delay(d[m], eta[m], world.ud_compute[m])
+            energies[m] = cm.local_energy(d[m], eta[m], world.ud_compute[m],
+                                          cfg.effective_capacitance)
+        elif d[m] != 0:
+            rate = alloc.w[s, m] * rates[s, m]
+            f_alloc = alloc.z[s, m] * f_max[s]
+            delays[m] = cm.edge_delay(d[m], eta[m], rate, f_alloc)
+            energies[m] = cm.edge_ud_energy(d[m], rate, cfg.ud_tx_power)
+    costs = cm.ud_cost(delays, energies, cfg.gamma_time, cfg.gamma_energy)
+    return delays, energies, costs
+
+
+# UD CPU speeds whose square differs by one ulp between C pow (scalar **,
+# as in compute.local_energy) and x*x (what array ** 2 computes)
+POW_NOT_SQUARE = (2556014787.2301636, 2026631161.8175936, 1026732329.9739903)
+
+
 def test_realized_cost_matches_formulas():
+    """Realized delays, energies and costs equal compute's scalar formulas
+    bit for bit: a run_slot decision, then _realize on paper FLP and
+    OJTRTA, on desk EO and ERA with task sizes from 0 and a few zero-size
+    tasks (which EO must offload), and on UD speeds where pow(f, 2) and
+    f*f round apart."""
     cfg = tiny_config()
     world = build_scenario(cfg)
-    eb_c, eb_p = cfg.budget_split()
-    queues = init_queues(cfg.num_suavs, eb_c, eb_p)
+    queues = init_queues(cfg.num_suavs, *cfg.budget_split())
     decision, _ = run_slot(world, queues, APPROACHES["OJTRTA"])
-    d, eta, _ = world.task_arrays()
     rates, _ = _slot_channel_replay(world)
-    for m in range(cfg.num_uds):
-        s = int(decision.profile[m])
-        if s == LOCAL:
-            want_delay = cm.local_delay(d[m], eta[m], world.ud_compute[m])
-            want_energy = cm.local_energy(d[m], eta[m], world.ud_compute[m],
-                                          cfg.effective_capacitance)
-        elif d[m] == 0:
-            want_delay = want_energy = 0.0
-        else:
-            rate = decision.allocation.w[s, m] * rates[s, m]
-            f_max = cfg.suav_compute if s < cfg.num_suavs else cfg.luav_compute
-            f_alloc = decision.allocation.z[s, m] * f_max
-            want_delay = cm.edge_delay(d[m], eta[m], rate, f_alloc)
-            want_energy = cm.edge_ud_energy(d[m], rate, cfg.ud_tx_power)
-        assert decision.delays[m] == pytest.approx(want_delay, rel=1e-12)
-        assert decision.ud_energies[m] == pytest.approx(want_energy,
-                                                        rel=1e-12)
-        want_cost = (cfg.gamma_time * want_delay
-                     + cfg.gamma_energy * want_energy)
-        assert decision.costs[m] == pytest.approx(want_cost, rel=1e-12)
+    want = loop_realize(world, decision.profile, decision.allocation, rates)
+    for g, w in zip((decision.delays, decision.ud_energies, decision.costs),
+                    want):
+        assert np.array_equal(g, w)
+
+    zero_from = (0.0, 1.0e6)
+    cases = [(paper_profile(seed=0), "FLP"), (paper_profile(seed=1), "OJTRTA"),
+             (desk_profile(seed=2, data_bits_range=zero_from), "EO"),
+             (desk_profile(seed=3, data_bits_range=zero_from), "ERA"),
+             (desk_profile(seed=4, ud_compute_options=POW_NOT_SQUARE), "FLP")]
+    kinds = np.zeros(3, dtype=int)    # local, offloaded, offloaded empty
+    pow_apart = 0   # local energies that f ** 2 on the array would change
+    for cfg, approach in cases:
+        spec = APPROACHES[approach]
+        world = build_scenario(cfg)
+        queues = init_queues(cfg.num_suavs, *cfg.budget_split())
+        for _ in range(3):
+            for m in range(0, cfg.num_uds, 7):
+                task = world.tasks[m]
+                world.tasks[m] = TaskSpec(0.0, task.cycles_per_bit,
+                                          task.deadline)
+            rates, _ = _slot_channel(world)
+            stage1 = run_stage1(build_game_context(world, queues, spec,
+                                                   rates))
+            got = _realize(world, stage1.profile, stage1.allocation, rates)
+            want = loop_realize(world, stage1.profile, stage1.allocation,
+                                rates)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            d, eta, _ = world.task_arrays()
+            local = stage1.profile == LOCAL
+            kinds += [np.sum(local), np.sum(~local & (d > 0)),
+                      np.sum(~local & (d == 0))]
+            by_square = (cfg.effective_capacitance
+                         * world.ud_compute[local] ** 2 * eta[local]
+                         * d[local])
+            pow_apart += np.count_nonzero(by_square != want[1][local])
+            step_mobility(world)
+            resample_tasks(world)
+            world.slot += 1
+    assert np.all(kinds > 0) and pow_apart > 0
+
+
+def test_realize_rejects_a_zero_rate_or_compute_share():
+    cfg = tiny_config()
+    world = build_scenario(cfg)
+    queues = init_queues(cfg.num_suavs, *cfg.budget_split())
+    rates, _ = _slot_channel(world)
+    stage1 = run_stage1(build_game_context(world, queues,
+                                           APPROACHES["EO"], rates))
+    profile, alloc = stage1.profile, stage1.allocation
+    m = int(np.flatnonzero(world.task_arrays()[0] > 0)[0])
+    for share in (alloc.w, alloc.z):
+        saved = share[profile[m], m]
+        share[profile[m], m] = 0.0
+        with pytest.raises(ValueError, match="must be positive"):
+            _realize(world, profile, alloc, rates)
+        share[profile[m], m] = saved
+    _realize(world, profile, alloc, rates)
 
 
 def _slot_channel_replay(world):

@@ -13,9 +13,13 @@ import itertools
 import numpy as np
 import pytest
 
+from uavmec.config import paper_profile
+from uavmec.engine import APPROACHES, _slot_channel, build_game_context
 from uavmec.game import (DEADLINE_SLACK, LOCAL, BestResponse, MemberSums,
                          MoveRecord, best_response, potential, run_stage1,
                          utility)
+from uavmec.lyapunov import init_queues
+from uavmec.scenario import build_scenario, resample_tasks, step_mobility
 from uavmec.verification import random_game_context, random_profile
 
 # Closed form and ordered double sums add the same terms in another order,
@@ -153,32 +157,65 @@ def test_best_response_matches_the_rebuild_exactly():
     assert checked > 1500
 
 
+def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed):
+    """run_stage1 against reference_stage1 under equal tie-break draws;
+    returns (moves, forced moves)."""
+    ctx.tiebreak_rng = np.random.default_rng(rng_seed)
+    result = run_stage1(ctx)
+    ctx.tiebreak_rng = np.random.default_rng(rng_seed)
+    profile, sweeps, moves, fallbacks, converged, scales = \
+        reference_stage1(ctx)
+    np.testing.assert_array_equal(result.profile, profile)
+    assert (result.sweeps, result.deadline_fallbacks, result.converged) \
+        == (sweeps, fallbacks, converged)
+    assert len(result.moves) == len(moves)
+    for fast, ref in zip(result.moves, moves):
+        assert (fast.ud, fast.old, fast.new, fast.forced,
+                fast.delta_utility) \
+            == (ref.ud, ref.old, ref.new, ref.forced, ref.delta_utility)
+    if ctx.uniform_shares:
+        assert all(mv.delta_potential is None for mv in result.moves)
+    else:
+        for fast, ref, scale in zip(result.moves, moves, scales):
+            assert abs(fast.delta_potential - ref.delta_potential) \
+                <= DPHI_RTOL * scale
+    return len(moves), sum(mv.forced for mv in moves)
+
+
 def test_stage1_matches_the_rebuild_loop():
     rng = np.random.default_rng(21)
     n_moves = n_forced = 0
     for i, ctx in enumerate(game_variants(rng)):
-        ctx.tiebreak_rng = np.random.default_rng(i)
-        result = run_stage1(ctx)
-        ctx.tiebreak_rng = np.random.default_rng(i)
-        profile, sweeps, moves, fallbacks, converged, scales = \
-            reference_stage1(ctx)
-        np.testing.assert_array_equal(result.profile, profile)
-        assert (result.sweeps, result.deadline_fallbacks, result.converged) \
-            == (sweeps, fallbacks, converged)
-        assert len(result.moves) == len(moves)
-        for fast, ref in zip(result.moves, moves):
-            assert (fast.ud, fast.old, fast.new, fast.forced,
-                    fast.delta_utility) \
-                == (ref.ud, ref.old, ref.new, ref.forced, ref.delta_utility)
-        if ctx.uniform_shares:
-            assert all(mv.delta_potential is None for mv in result.moves)
-        else:
-            for fast, ref, scale in zip(result.moves, moves, scales):
-                assert abs(fast.delta_potential - ref.delta_potential) \
-                    <= DPHI_RTOL * scale
-        n_moves += len(moves)
-        n_forced += sum(mv.forced for mv in moves)
+        moves, forced = assert_stage1_matches_the_rebuild_loop(ctx, i)
+        n_moves += moves
+        n_forced += forced
     assert n_moves > 500 and n_forced > 100
+
+
+def test_stage1_matches_the_rebuild_loop_at_the_paper_shape():
+    """Contexts of real paper-profile slots (M = 60, N = 4), every approach;
+    queue weights are nonzero from the second slot on."""
+    n_moves = n_forced = 0
+    for seed in (0, 1, 2):
+        world = build_scenario(paper_profile(seed=seed))
+        cfg = world.config
+        queues = init_queues(cfg.num_suavs, *cfg.budget_split())
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            rates, _ = _slot_channel(world)
+            for spec in APPROACHES.values():
+                ctx = build_game_context(world, queues, spec, rates)
+                assert (ctx.n_uds, ctx.n_suavs) == (60, 4)
+                moves, forced = assert_stage1_matches_the_rebuild_loop(
+                    ctx, seed)
+                n_moves += moves
+                n_forced += forced
+            queues.q_c = rng.uniform(0.0, 3.0, cfg.num_suavs) \
+                * queues.budget_c
+            step_mobility(world)
+            resample_tasks(world)
+            world.slot += 1
+    assert n_moves > 3000 and n_forced > 500
 
 
 def test_kept_sums_equal_a_fresh_build_after_random_moves():
@@ -197,8 +234,12 @@ def test_kept_sums_equal_a_fresh_build_after_random_moves():
             sums.refresh(profile, cur)
             sums.refresh(profile, new)
             fresh = MemberSums(profile, ctx)
-            assert np.array_equal(sums.totals, fresh.totals)
-            assert np.array_equal(sums.count, fresh.count)
+            assert sums.totals == fresh.totals
+            assert sums.members == fresh.members
+            onehot = profile == np.arange(ctx.n_servers)[:, None]
+            assert np.array_equal(
+                sums.totals, (ctx.member_terms * onehot[:, None]).sum(axis=2))
+            assert sums.members == onehot.sum(axis=1).tolist()
             if ctx.uniform_shares:
                 continue
             full = (potential(before, ctx), potential(profile, ctx))
@@ -207,6 +248,74 @@ def test_kept_sums_equal_a_fresh_build_after_random_moves():
                 <= DPHI_RTOL * max(map(abs, full))
             checked += 1
     assert checked > 1000
+
+
+class LastOfTies:
+    """Tie-break stand-in that records its draws and takes the last tie."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def integers(self, n):
+        self.draws += 1
+        return n - 1
+
+
+def test_context_fields_read_live_and_fields_that_need_a_rebuild():
+    rng = np.random.default_rng(24)
+    ctx = random_game_context(rng, m_max=8, n_max=3, allow_zero_tasks=False)
+    ctx.deadline[:] = 10.0
+    profile = random_profile(ctx, rng)
+    sums = MemberSums(profile, ctx)
+
+    def respond():
+        br = best_response(0, profile, ctx, sums)
+        assert br == reference_best_response(0, profile, ctx)
+        return br
+
+    base = respond()
+    assert base.candidates == (LOCAL, *range(ctx.n_servers))
+    ctx.deadline[0] = 1e-9                # live: no edge fits any more
+    assert respond().candidates == (LOCAL,)
+    ctx.allow_local = False               # live: nothing left but fallback
+    assert respond().fallback
+    ctx.deadline[0] = 10.0
+    ctx.allow_local = True
+    assert respond() == base
+    ctx.uniform_shares = True             # live: priced by headcount
+    assert respond().utilities != base.utilities
+    ctx.uniform_shares = False
+
+    # rates feed the per-UD rows: no effect until __post_init__ reruns
+    ctx.rates *= 0.5
+    assert best_response(0, profile, ctx, sums) == base
+    ctx.__post_init__()
+    sums = MemberSums(profile, ctx)
+    assert respond().utilities != base.utilities
+
+
+def test_tiebreak_rng_is_read_live():
+    rng = np.random.default_rng(25)
+    drawn = 0
+    for _ in range(20):
+        ctx = random_game_context(rng, m_max=8, n_max=2,
+                                  allow_zero_tasks=False)
+        if ctx.n_suavs < 2:
+            continue
+        # indistinguishable SUAVs, so a UD joining an empty one ties
+        ctx.rates[1] = ctx.rates[0]
+        ctx.queue_weight[1] = ctx.queue_weight[0]
+        ctx.__post_init__()
+        ctx.tiebreak_rng = None
+        first = run_stage1(ctx).profile
+        ctx.tiebreak_rng = LastOfTies()
+        last = run_stage1(ctx).profile
+        if ctx.tiebreak_rng.draws:
+            drawn += 1
+            assert not np.array_equal(first, last)
+        else:
+            np.testing.assert_array_equal(first, last)
+    assert drawn >= 3
 
 
 def test_descent_check_raises_when_the_potential_rises(monkeypatch):
