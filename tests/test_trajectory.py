@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uavmec.compute import induced_speed_term, propulsion_power
+from uavmec import trajectory
 from uavmec.config import desk_profile
 from uavmec.trajectory import (
     KKT_TOL, FEAS_TOL, SuavAssignment, TrajectoryProblem, _Subproblem,
@@ -343,3 +344,48 @@ def test_expansion_point_feasible_but_not_stationary():
     x = sub.initial_point()
     assert float(np.min(sub.constraints(x))) >= -1e-12
     assert sub.kkt_residual(x) > KKT_TOL
+
+
+# --- solver tiers ---
+
+def heavy_ud_problem():
+    """One SUAV pulled toward a heavy UD far away."""
+    return TrajectoryProblem(
+        current_positions=np.array([[100.0, 100.0]]),
+        assignments=[SuavAssignment(ud_positions=np.array([[400.0, 400.0]]),
+                                    weights=np.array([300.0]),
+                                    phi=np.array([2e5]))],
+        queue_p=np.array([2.0]), altitude=100.0, dt=1.0,
+        v_max=25.0, d_min=10.0, **PROP)
+
+
+def record_solver_methods(monkeypatch):
+    """Wrap the subproblem's ``minimize``; returns the methods it ran."""
+    methods = []
+    original = trajectory.minimize
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "minimize", recording)
+    return methods
+
+
+def test_subproblem_stops_at_the_first_tier_that_meets_the_contract(
+        monkeypatch):
+    methods = record_solver_methods(monkeypatch)
+    prob = heavy_ud_problem()
+    sol = solve_convex_subproblem(prob, prob.current_positions.copy())
+    assert sol.kkt_residual <= KKT_TOL
+    assert methods == ["SLSQP"]
+
+
+def test_subproblem_runs_every_tier_then_raises_when_all_miss(monkeypatch):
+    # a tolerance no residual can meet, so every tier misses the contract
+    monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
+    methods = record_solver_methods(monkeypatch)
+    prob = heavy_ud_problem()
+    with pytest.raises(RuntimeError, match="failed its optimality contract"):
+        solve_convex_subproblem(prob, prob.current_positions.copy())
+    assert methods == ["SLSQP", "SLSQP", "trust-constr"]

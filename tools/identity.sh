@@ -10,6 +10,8 @@
 #   desk:  OJTRTA, EO, ERA, FLP and OCQ, seeds 0-9
 #   paper: FLP and ERA, seeds 0-4
 #   paper: OJTRTA, seed 0, 20 slots
+#   desk with binding deadlines (deadline_range (0.05, 0.15) s,
+#   data_bits_range (0, 1e6) bits): every approach, seeds 0-2
 # Exits 0 when every file is identical, 1 on any difference, 2 on misuse.
 set -euo pipefail
 
@@ -23,6 +25,9 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/src"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
+# tight deadlines reach EO's waiver and the game's no-feasible-edge fallback
+echo '{"deadline_range": [0.05, 0.15], "data_bits_range": [0.0, 1e6]}' \
+    > "$tmp/binding.json"
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -46,6 +51,8 @@ run_all() {    # <source tree> <output dir>
         --seeds 0 1 2 3 4
     simulate "$1" "$2/paper-ojtrta" --profile paper --approach OJTRTA \
         --seeds 0 --slots 20
+    simulate "$1" "$2/desk-binding" --profile desk --approach all \
+        --config "$tmp/binding.json" --seeds 0 1 2
 }
 
 echo "running $1"
