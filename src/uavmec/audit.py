@@ -12,12 +12,14 @@ import numpy as np
 
 from .game import LOCAL
 
+SHARE_TOL = 1e-9      # on shares and their per-server sums
+DEADLINE_TOL = 1e-9   # s, on realized edge delays
+MOTION_TOL = 1e-6     # m, on flying distance and separation
+
 
 def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
                serving_positions, next_positions, initial_positions, slot,
-               v_max, d_min, dt,
-               share_tol: float = 1e-9, deadline_tol: float = 1e-9,
-               motion_tol: float = 1e-6) -> list:
+               v_max, d_min, dt) -> list:
     """Check one slot's decision; return a list of violation messages.
 
     ``serving_positions`` are the SUAV positions the slot was served from,
@@ -37,22 +39,22 @@ def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
 
     # edge deadline on members with actual data
     for m in np.flatnonzero((profile != LOCAL) & (np.asarray(data_bits) > 0)):
-        if delays[m] > deadlines[m] + deadline_tol:
+        if delays[m] > deadlines[m] + DEADLINE_TOL:
             violations.append(
                 f"deadline: UD {m} on server {profile[m]} finishes at "
                 f"{delays[m]:.6f} s > {deadlines[m]:.6f} s")
 
     # share bounds and per-server capacities
-    if np.any(z < -share_tol) or np.any(z > 1.0 + share_tol):
+    if np.any(z < -SHARE_TOL) or np.any(z > 1.0 + SHARE_TOL):
         violations.append("compute shares outside [0, 1]")
-    if np.any(w < -share_tol) or np.any(w > 1.0 + share_tol):
+    if np.any(w < -SHARE_TOL) or np.any(w > 1.0 + SHARE_TOL):
         violations.append("bandwidth shares outside [0, 1]")
     for s in range(n_servers):
         members = profile == s
-        if z[s, members].sum() > 1.0 + share_tol:
+        if z[s, members].sum() > 1.0 + SHARE_TOL:
             violations.append(f"compute capacity: server {s} oversubscribed "
                               f"(sum z = {z[s, members].sum():.12f})")
-        if w[s, members].sum() > 1.0 + share_tol:
+        if w[s, members].sum() > 1.0 + SHARE_TOL:
             violations.append(f"bandwidth capacity: server {s} "
                               f"oversubscribed "
                               f"(sum w = {w[s, members].sum():.12f})")
@@ -68,7 +70,7 @@ def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
 
     # per-slot flying distance
     dist = np.linalg.norm(nxt - serving, axis=1)
-    for n in np.flatnonzero(dist > v_max * dt + motion_tol):
+    for n in np.flatnonzero(dist > v_max * dt + MOTION_TOL):
         violations.append(f"speed: SUAV {n} moves {dist[n]:.6f} m "
                           f"> {v_max * dt:.6f} m in one slot")
 
@@ -77,7 +79,7 @@ def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
     for i in range(n_suavs):
         for j in range(i + 1, n_suavs):
             d = float(np.linalg.norm(nxt[i] - nxt[j]))
-            if d < d_min - motion_tol:
+            if d < d_min - MOTION_TOL:
                 violations.append(f"separation: SUAVs {i},{j} at "
                                   f"{d:.6f} m < {d_min} m")
     return violations

@@ -27,7 +27,7 @@ from .config import ScenarioConfig
 from .game import GameContext, run_stage1, LOCAL
 from .lyapunov import QueueState, init_queues, update_queues, dpp_objective
 from .scenario import World, build_scenario, step_mobility, resample_tasks
-from .trajectory import build_problem, run_stage2, Stage2Result
+from .trajectory import build_problem, run_stage2
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ APPROACH_IDS = tuple(APPROACHES)
 @dataclass
 class SlotDecision:
     """Everything decided and realized within one slot."""
-    slot: int
     profile: np.ndarray
     allocation: AllocationResult
     serving_positions: np.ndarray
@@ -68,7 +67,6 @@ class SlotDecision:
     waived_violations: list      # deadline messages excused by EO's design
     fallbacks: list              # (ud, server) pairs forced past the deadline
     deadline_misses: int
-    stage2: Stage2Result | None
 
 
 @dataclass
@@ -215,14 +213,11 @@ def run_slot(world: World, queues: QueueState,
     profile, alloc = stage1.profile, stage1.allocation
 
     serving = world.suav_positions.copy()
-    stage2_result = None
     if spec.move:
         queue_p = queues.q_p if spec.use_queues else np.zeros(cfg.num_suavs)
         problem = build_problem(profile, alloc.w, d, phi[:cfg.num_suavs],
-                                world.ud_positions, serving, queue_p, cfg,
-                                cfg.lyapunov_v)
-        stage2_result = run_stage2(problem)
-        next_positions = stage2_result.positions
+                                world.ud_positions, serving, queue_p, cfg)
+        next_positions = run_stage2(problem).positions
     else:
         next_positions = serving.copy()
 
@@ -243,16 +238,15 @@ def run_slot(world: World, queues: QueueState,
         initial_positions=np.asarray(cfg.suav_initial_positions, dtype=float),
         slot=world.slot, v_max=cfg.suav_max_speed, d_min=cfg.min_separation,
         dt=cfg.slot_duration)
+    misses = sum(v.startswith("deadline:") for v in violations)
     # EO's forced offloads may miss deadlines by design; keep them separate
     waived = []
     if not spec.allow_local and stage1.deadline_fallbacks:
         waived = [v for v in violations if v.startswith("deadline:")]
         violations = [v for v in violations if not v.startswith("deadline:")]
-    misses = int(np.count_nonzero((profile != LOCAL) & (d > 0)
-                                  & (delays > tmax + 1e-9)))
 
     decision = SlotDecision(
-        slot=world.slot, profile=profile, allocation=alloc,
+        profile=profile, allocation=alloc,
         serving_positions=serving, next_positions=next_positions,
         delays=delays, ud_energies=energies, costs=costs,
         suav_energy_c=e_c, suav_energy_p=e_p,
@@ -261,7 +255,7 @@ def run_slot(world: World, queues: QueueState,
                                 float(costs.sum()), cfg.lyapunov_v),
         violations=violations, waived_violations=waived,
         fallbacks=stage1.deadline_fallbacks,
-        deadline_misses=misses, stage2=stage2_result)
+        deadline_misses=misses)
     return decision, update_queues(queues, e_c, e_p)
 
 
@@ -284,32 +278,25 @@ def run_simulation(config: ScenarioConfig, approach: str,
     violations: list[tuple[int, str]] = []
     waived: list[tuple[int, str]] = []
     trace_rows: list[tuple] = [] if trace else None
-    totals = {"cost": 0.0, "latency": 0.0, "ud_energy": 0.0,
-              "misses": 0, "fallbacks": 0}
-    suav_energy_sum = np.zeros(config.num_suavs)
+    misses = fallbacks = 0
 
     for t in range(1, config.num_slots + 1):
         try:
             decision, queues = run_slot(world, queues, spec)
         except Exception as exc:
             raise RuntimeError(f"slot {t} failed: {exc}") from exc
-        slot_energy = decision.suav_energy_c + decision.suav_energy_p
         records.append(MetricsRecord(
             slot=t, approach=approach, seed=config.seed,
             cost=float(decision.costs.sum()),
             latency=float(decision.delays.mean()),
             ud_energy=float(decision.ud_energies.sum()),
-            suav_energy=slot_energy,
+            suav_energy=decision.suav_energy_c + decision.suav_energy_p,
             q_c=queues.q_c.copy(), q_p=queues.q_p.copy(),
             positions=decision.serving_positions))
         violations.extend((t, v) for v in decision.violations)
         waived.extend((t, v) for v in decision.waived_violations)
-        totals["cost"] += float(decision.costs.sum())
-        totals["latency"] += float(decision.delays.mean())
-        totals["ud_energy"] += float(decision.ud_energies.sum())
-        totals["misses"] += decision.deadline_misses
-        totals["fallbacks"] += len(decision.fallbacks)
-        suav_energy_sum += slot_energy
+        misses += decision.deadline_misses
+        fallbacks += len(decision.fallbacks)
         if trace:
             trace_rows.append((t, world.ud_positions.copy(),
                                decision.serving_positions.copy()))
@@ -319,20 +306,26 @@ def run_simulation(config: ScenarioConfig, approach: str,
         resample_tasks(world)
         world.slot += 1
 
+    def total(name, start=0.0):
+        for rec in records:   # in slot order, not np.sum's pairwise order
+            start = start + getattr(rec, name)
+        return start
+
     t_total = config.num_slots
+    suav_energy_sum = total("suav_energy", np.zeros(config.num_suavs))
     aggregates = {
         "approach": approach,
         "seed": config.seed,
         "slots": t_total,
-        "tac": totals["cost"] / t_total,
-        "avg_latency": totals["latency"] / t_total,
-        "total_ud_energy": totals["ud_energy"],
+        "tac": total("cost") / t_total,
+        "avg_latency": total("latency") / t_total,
+        "total_ud_energy": total("ud_energy"),
         "avg_suav_energy": (suav_energy_sum / t_total).tolist(),
         "mean_suav_energy": float(suav_energy_sum.mean() / t_total),
         "final_q_c": queues.q_c.tolist(),
         "final_q_p": queues.q_p.tolist(),
-        "deadline_misses": totals["misses"],
-        "deadline_fallbacks": totals["fallbacks"],
+        "deadline_misses": misses,
+        "deadline_fallbacks": fallbacks,
         "audit_violations": len(violations),
         "config_digest": config.digest(),
     }

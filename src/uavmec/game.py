@@ -74,7 +74,6 @@ class GameContext:
     phi: np.ndarray = field(init=False, repr=False)
     edge_energy: np.ndarray = field(init=False, repr=False)
     local_cost: np.ndarray = field(init=False, repr=False)
-    local_exec: np.ndarray = field(init=False, repr=False)
     trans_base: np.ndarray = field(init=False, repr=False)
     exec_base: np.ndarray = field(init=False, repr=False)
     member_cost: np.ndarray = field(init=False, repr=False)
@@ -90,8 +89,8 @@ class GameContext:
                             / self.f_max[:, None])
         self.phi = np.sqrt(load[None, :] / self.rates)
         self.edge_energy = self.energy_per_cycle * eta * d
-        self.local_exec = eta * d / self.ud_compute
-        self.local_cost = (self.gamma_time * self.local_exec
+        local_exec = eta * d / self.ud_compute
+        self.local_cost = (self.gamma_time * local_exec
                            + self.gamma_energy * self.capacitance
                            * self.ud_compute ** 2 * eta * d)
         # per-member building blocks: D/r and eta*D/F
@@ -294,7 +293,6 @@ class MoveRecord:
     ud: int
     old: int
     new: int
-    delta_utility: float
     delta_potential: float | None
     forced: bool
 
@@ -339,11 +337,9 @@ def run_stage1(ctx: GameContext,
     fallbacks: list[tuple[int, int]] = []
     max_sweeps = 10 * m_total + 10
     converged = False
-    sweeps = 0
     track_potential = not ctx.uniform_shares
 
-    for _ in range(max_sweeps):
-        sweeps += 1
+    for sweeps in range(1, max_sweeps + 1):
         changed = False
         for m in range(m_total):
             br = best_response(m, profile, ctx, sums)
@@ -357,9 +353,6 @@ def run_stage1(ctx: GameContext,
             else:
                 target = br.best[0]
             forced = cur not in br.candidates
-            u_cur = (br.utilities[cur] if cur in br.utilities
-                     else utility(m, cur, profile, ctx))
-            du = br.best_utility - u_cur
             dphi = None
             if track_potential:
                 before = sums.move_potential(m, cur, (cur, target))
@@ -374,7 +367,7 @@ def run_stage1(ctx: GameContext,
                         f"({cur} -> {target}, delta={dphi:.3e})")
             if br.fallback:
                 fallbacks.append((m, target))
-            moves.append(MoveRecord(m, cur, target, float(du), dphi, forced))
+            moves.append(MoveRecord(m, cur, target, dphi, forced))
             changed = True
         if not changed:
             converged = True

@@ -60,7 +60,7 @@ class TrajectoryProblem:
 
 
 def build_problem(profile, shares, data_bits, phi_suav, ud_positions,
-                  suav_positions, queue_p, cfg, v) -> TrajectoryProblem:
+                  suav_positions, queue_p, cfg) -> TrajectoryProblem:
     """Assemble the placement problem from stage-1 outputs.
 
     ``shares`` is the (N, M) bandwidth-share matrix for SUAV rows,
@@ -71,8 +71,9 @@ def build_problem(profile, shares, data_bits, phi_suav, ud_positions,
     profile = np.asarray(profile)
     data_bits = np.asarray(data_bits, dtype=float)
     n = len(suav_positions)
-    weight_num = v * (cfg.gamma_time * data_bits
-                      + cfg.gamma_energy * cfg.ud_tx_power * data_bits)
+    weight_num = cfg.lyapunov_v * (cfg.gamma_time * data_bits
+                                   + cfg.gamma_energy * cfg.ud_tx_power
+                                   * data_bits)
     assignments = []
     for s in range(n):
         members = np.flatnonzero((profile == s) & (data_bits > 0))
@@ -553,66 +554,52 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
 
     Starts at the expansion point (always feasible: slacks initialized at
     their binding values).  SLSQP stalls on different instances depending on
-    how the objective is normalized, so it runs once on the unit-scaled
-    problem and, if the audit misses the 1e-6 target, again unscaled; a
-    trust-region pass is the last resort.  Raises with the residuals if all
-    fail.
+    how the objective is normalized, so the tiers are SLSQP on the objective
+    divided by max(1, |f(x0)|), SLSQP unscaled, then a trust-region pass.  A
+    tier's point that misses the contract gets a Newton polish; the first
+    tier that meets it ends the cascade.  Raises with the residuals of the
+    best tier if all fail.
     """
     sub = _Subproblem(problem, expansion)
     x0 = sub.initial_point()
     f0 = abs(sub.objective(x0))
 
     def audit(x):
-        return (sub.kkt_residual(x),
-                -min(float(np.min(sub.constraints(x))), 0.0))
+        """(score, x, KKT residual, feasibility) at the speed-clipped x; a
+        score of at most 1 meets the contract."""
+        x = sub.clip_speed(x)
+        kkt = sub.kkt_residual(x)
+        feas = -min(float(np.min(sub.constraints(x))), 0.0)
+        return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas
 
-    cons = [{"type": "ineq", "fun": sub.constraints,
-             "jac": sub.constraints_jac}]
-    candidates = []
-
-    def passed(x_try):
-        x_try = sub.clip_speed(x_try)
-        kkt_try, feas_try = audit(x_try)
-        score = max(kkt_try / KKT_TOL, feas_try / FEAS_TOL)
-        if score > 1.0:
-            x_pol = sub.clip_speed(sub.kkt_polish(x_try))
-            kkt_pol, feas_pol = audit(x_pol)
-            if max(kkt_pol / KKT_TOL, feas_pol / FEAS_TOL) < score:
-                x_try, kkt_try, feas_try = x_pol, kkt_pol, feas_pol
-                score = max(kkt_pol / KKT_TOL, feas_pol / FEAS_TOL)
-        candidates.append((score, len(candidates), x_try, kkt_try, feas_try))
-        return score <= 1.0
-
-    done = False
+    slsqp = {"method": "SLSQP", "options": {"maxiter": 400, "ftol": 1e-12},
+             "constraints": {"type": "ineq", "fun": sub.constraints,
+                             "jac": sub.constraints_jac}}
+    # SLSQP stalls in flat directions (tiny position gradient under a huge
+    # queue-weighted slack gradient); a trust region driven deep from the
+    # exactly feasible expansion lands in the Newton basin
+    trust = {"method": "trust-constr",
+             "options": {"gtol": 1e-14, "xtol": 1e-14, "maxiter": 5000},
+             "constraints": NonlinearConstraint(sub.constraints, 0.0, np.inf,
+                                                jac=sub.constraints_jac)}
+    best = None
     with warnings.catch_warnings():
         # scipy chatters about clipped probe points and flat quasi-Newton
         # updates; both are routine here and the audit gates the result.
         warnings.simplefilter("ignore", RuntimeWarning)
         warnings.simplefilter("ignore", UserWarning)
-        for scale in (max(1.0, f0), 1.0):
+        for scale, solver in ((max(1.0, f0), slsqp), (1.0, slsqp),
+                              (1.0, trust)):
             sub.scale = scale
-            res = minimize(sub.objective, x0, jac=sub.gradient,
-                           method="SLSQP", bounds=sub.bounds(),
-                           constraints=cons,
-                           options={"maxiter": 400, "ftol": 1e-12})
-            if passed(res.x):
-                done = True
+            tier = audit(minimize(sub.objective, x0, jac=sub.gradient,
+                                  bounds=sub.bounds(), **solver).x)
+            if tier[0] > 1.0:
+                polished = audit(sub.kkt_polish(tier[1]))
+                tier = polished if polished[0] < tier[0] else tier
+            best = tier if best is None or tier[0] < best[0] else best
+            if tier[0] <= 1.0:
                 break
-        if not done:
-            # SLSQP stalls in flat directions (tiny position gradient under
-            # a huge queue-weighted slack gradient); a trust region driven
-            # deep from the exactly feasible expansion lands in the Newton
-            # basin
-            nlc = NonlinearConstraint(sub.constraints, 0.0, np.inf,
-                                      jac=sub.constraints_jac)
-            sub.scale = 1.0
-            res2 = minimize(sub.objective, x0, jac=sub.gradient,
-                            method="trust-constr", constraints=[nlc],
-                            bounds=sub.bounds(),
-                            options={"gtol": 1e-14, "xtol": 1e-14,
-                                     "maxiter": 5000})
-            passed(res2.x)
-    _, _, x, kkt, feas = min(candidates)
+    _, x, kkt, feas = best
     if kkt > KKT_TOL or feas > FEAS_TOL:
         raise RuntimeError(
             f"convex subproblem failed its optimality contract "
@@ -648,9 +635,7 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
     g_prev = 0.0
     true_values: list[float] = []
     converged = False
-    iterations = 0
     for _ in range(problem.max_iters):
-        iterations += 1
         sol = solve_convex_subproblem(problem, expansion)
         expansion = sol.positions
         true_values.append(true_objective(problem, sol.positions))
@@ -658,5 +643,5 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
             converged = True
             break
         g_prev = sol.objective
-    return Stage2Result(positions=expansion, iterations=iterations,
+    return Stage2Result(positions=expansion, iterations=len(true_values),
                         true_values=true_values, converged=converged)

@@ -16,8 +16,7 @@ import pytest
 from uavmec.config import paper_profile
 from uavmec.engine import APPROACHES, _slot_channel, build_game_context
 from uavmec.game import (DEADLINE_SLACK, LOCAL, BestResponse, MemberSums,
-                         MoveRecord, best_response, potential, run_stage1,
-                         utility)
+                         MoveRecord, best_response, potential, run_stage1)
 from uavmec.lyapunov import init_queues
 from uavmec.scenario import build_scenario, resample_tasks, step_mobility
 from uavmec.verification import random_game_context, random_profile
@@ -105,8 +104,6 @@ def reference_stage1(ctx):
             else:
                 target = br.best[0]
             forced = cur not in br.candidates
-            du = br.best_utility - br.utilities.get(
-                cur, utility(m, cur, profile, ctx))
             dphi = None
             if not ctx.uniform_shares:
                 before = potential(profile, ctx)
@@ -119,7 +116,7 @@ def reference_stage1(ctx):
                 profile[m] = target
             if br.fallback:
                 fallbacks.append((m, target))
-            moves.append(MoveRecord(m, cur, target, float(du), dphi, forced))
+            moves.append(MoveRecord(m, cur, target, dphi, forced))
             changed = True
         if not changed:
             converged = True
@@ -170,9 +167,8 @@ def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed):
         == (sweeps, fallbacks, converged)
     assert len(result.moves) == len(moves)
     for fast, ref in zip(result.moves, moves):
-        assert (fast.ud, fast.old, fast.new, fast.forced,
-                fast.delta_utility) \
-            == (ref.ud, ref.old, ref.new, ref.forced, ref.delta_utility)
+        assert (fast.ud, fast.old, fast.new, fast.forced) \
+            == (ref.ud, ref.old, ref.new, ref.forced)
     if ctx.uniform_shares:
         assert all(mv.delta_potential is None for mv in result.moves)
     else:

@@ -309,9 +309,9 @@ def test_build_problem_weight_mapping():
     ud_pos = rng.uniform(0.0, cfg.area_width, (m, 2))
     suav_pos = rng.uniform(0.0, cfg.area_width, (n, 2))
     queue_p = rng.uniform(0.0, 50.0, n)
-    v = 500.0
+    v = cfg.lyapunov_v
     prob = build_problem(profile, shares, data_bits, phi, ud_pos, suav_pos,
-                         queue_p, cfg, v)
+                         queue_p, cfg)
     assert prob.n_suavs == n
     # SUAV 0 serves UDs 0, 1, 5; SUAV 1 serves only UD 2 (4 has no data).
     assert len(prob.assignments[0].weights) == 3
