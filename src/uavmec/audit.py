@@ -19,17 +19,20 @@ MOTION_TOL = 1e-6     # m, on flying distance and separation
 
 def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
                serving_positions, next_positions, initial_positions, slot,
-               v_max, d_min, dt) -> list:
-    """Check one slot's decision; return a list of violation messages.
+               v_max, d_min, dt, excused=()) -> tuple[list, list]:
+    """Check one slot's decision; return (violations, waived) messages.
 
     ``serving_positions`` are the SUAV positions the slot was served from,
     ``next_positions`` the ones the trajectory stage decided for the next
-    slot.  An empty return value means the decision is feasible.
+    slot.  Deadline misses of the UDs in ``excused`` (offloaded by design
+    with no feasible edge) go to ``waived``.  An empty ``violations`` means
+    the decision is feasible.
     """
     profile = np.asarray(profile, dtype=int)
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     violations: list[str] = []
+    waived: list[str] = []
 
     # strategy space: local or a valid server index
     bad = (profile != LOCAL) & ((profile < 0) | (profile >= n_servers))
@@ -40,7 +43,7 @@ def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
     # edge deadline on members with actual data
     for m in np.flatnonzero((profile != LOCAL) & (np.asarray(data_bits) > 0)):
         if delays[m] > deadlines[m] + DEADLINE_TOL:
-            violations.append(
+            (waived if m in excused else violations).append(
                 f"deadline: UD {m} on server {profile[m]} finishes at "
                 f"{delays[m]:.6f} s > {deadlines[m]:.6f} s")
 
@@ -82,4 +85,4 @@ def audit_slot(*, profile, n_servers, z, w, delays, deadlines, data_bits,
             if d < d_min - MOTION_TOL:
                 violations.append(f"separation: SUAVs {i},{j} at "
                                   f"{d:.6f} m < {d_min} m")
-    return violations
+    return violations, waived

@@ -65,7 +65,7 @@ class SlotDecision:
     dpp_value: float
     violations: list
     waived_violations: list      # deadline messages excused by EO's design
-    fallbacks: list              # (ud, server) pairs forced past the deadline
+    fallbacks: list              # (ud, server) pairs with no feasible edge
     deadline_misses: int
 
 
@@ -231,19 +231,16 @@ def run_slot(world: World, queues: QueueState,
         assigned = eta[profile == n] @ d[profile == n]
         e_c[n], e_p[n] = cm.slot_suav_energy(assigned, speeds[n], cfg)
 
-    violations = audit_slot(
+    # EO's fallback offloads may miss deadlines by design; keep them apart
+    violations, waived = audit_slot(
         profile=profile, n_servers=cfg.num_suavs + 1, z=alloc.z, w=alloc.w,
         delays=delays, deadlines=tmax, data_bits=d,
         serving_positions=serving, next_positions=next_positions,
         initial_positions=np.asarray(cfg.suav_initial_positions, dtype=float),
         slot=world.slot, v_max=cfg.suav_max_speed, d_min=cfg.min_separation,
-        dt=cfg.slot_duration)
-    misses = sum(v.startswith("deadline:") for v in violations)
-    # EO's forced offloads may miss deadlines by design; keep them separate
-    waived = []
-    if not spec.allow_local and stage1.deadline_fallbacks:
-        waived = [v for v in violations if v.startswith("deadline:")]
-        violations = [v for v in violations if not v.startswith("deadline:")]
+        dt=cfg.slot_duration,
+        excused={m for m, _ in stage1.deadline_fallbacks})
+    misses = len(waived) + sum(v.startswith("deadline:") for v in violations)
 
     decision = SlotDecision(
         profile=profile, allocation=alloc,

@@ -304,7 +304,7 @@ class Stage1Result:
     sweeps: int
     moves: list
     converged: bool
-    deadline_fallbacks: list  # (ud, server) pairs that had no feasible edge
+    deadline_fallbacks: list  # (ud, server) pairs on a fallback at the end
 
 
 def run_stage1(ctx: GameContext,
@@ -328,23 +328,30 @@ def run_stage1(ctx: GameContext,
     difference.  The uniform-share variant has no such guarantee, so
     hitting the cap there just returns the current profile flagged
     unconverged.
+
+    ``deadline_fallbacks`` lists the UDs whose best response in the last
+    sweep was a fallback (no feasible edge and local disallowed), with the
+    server each ends on.  A converged last sweep moves no UD, so these are
+    exactly the UDs that have no feasible edge in the final profile.
     """
     m_total = ctx.n_uds
     profile = (np.full(m_total, LOCAL, dtype=int) if initial is None
                else np.asarray(initial, dtype=int).copy())
     sums = MemberSums(profile, ctx)
     moves: list[MoveRecord] = []
-    fallbacks: list[tuple[int, int]] = []
     max_sweeps = 10 * m_total + 10
     converged = False
     track_potential = not ctx.uniform_shares
 
     for sweeps in range(1, max_sweeps + 1):
         changed = False
+        fallbacks: list[tuple[int, int]] = []
         for m in range(m_total):
             br = best_response(m, profile, ctx, sums)
             cur = int(profile[m])
             if cur in br.best:
+                if br.fallback:
+                    fallbacks.append((m, cur))
                 continue
             if len(br.best) == 1:
                 target = br.best[0]

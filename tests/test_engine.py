@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uavmec import compute as cm
+from uavmec import engine
 from uavmec.config import desk_profile, paper_profile
 from uavmec.engine import (APPROACHES, SlotDecision, _realize, _slot_channel,
                            build_game_context,
@@ -184,6 +185,64 @@ def test_deadline_misses_count_the_audited_deadline_messages():
     assert ojtrta.aggregates["deadline_misses"] == 0
 
 
+def eo_fallback_config():
+    """One SUAV, deadlines that leave UDs 0 and 4 of seed 837 with no
+    feasible edge at the final stage-1 profile; they joined their servers
+    while those still fit."""
+    return desk_profile(
+        num_uds=10, num_suavs=1, suav_initial_positions=((125.0, 125.0),),
+        num_slots=1, seed=837,
+        deadline_range=(0.11789569661512925, 0.3409380301959986))
+
+
+def test_eo_waives_the_misses_of_uds_left_on_a_fallback():
+    res = run_simulation(eo_fallback_config(), "EO")
+    assert res.violations == []
+    assert [msg.split(" on ")[0] for _, msg in res.waived_violations] \
+        == ["deadline: UD 0", "deadline: UD 4"]
+    assert res.aggregates["deadline_fallbacks"] == 2
+    assert res.aggregates["deadline_misses"] == 2
+
+
+def test_eo_miss_off_a_fallback_stays_a_violation(monkeypatch):
+    realize = engine._realize
+
+    def late_ud_1(world, profile, alloc, rates):
+        delays, energies, costs = realize(world, profile, alloc, rates)
+        delays[1] += 10.0
+        return delays, energies, costs
+
+    monkeypatch.setattr(engine, "_realize", late_ud_1)
+    res = run_simulation(eo_fallback_config(), "EO")
+    assert [msg.split(" on ")[0] for _, msg in res.violations] \
+        == ["deadline: UD 1"]
+    assert len(res.waived_violations) == 2
+    assert res.aggregates["deadline_misses"] == 3
+
+
+SUAV_SITES = ((125.0, 125.0), (375.0, 375.0), (125.0, 375.0))
+
+
+def test_eo_audits_clean_on_random_small_configs():
+    """Small EO runs with deadlines drawn log-uniformly from 0.01-3 s and V
+    from 1 to 1e5: every deadline miss is a waived fallback."""
+    rng = np.random.default_rng(27)
+    waived = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        lo, hi = np.sort(10.0 ** rng.uniform(-2.0, np.log10(3.0), 2))
+        cfg = desk_profile(
+            num_uds=int(rng.integers(1, 13)), num_suavs=n,
+            suav_initial_positions=SUAV_SITES[:n], num_slots=3,
+            deadline_range=(float(lo), float(hi)),
+            lyapunov_v=float(10.0 ** rng.uniform(0.0, 5.0)),
+            seed=int(rng.integers(1 << 16)))
+        res = run_simulation(cfg, "EO")
+        assert res.violations == [], cfg
+        waived += bool(res.waived_violations)
+    assert waived > 50
+
+
 def test_fading_stream_consumed_identically_across_approaches():
     cfg = tiny_config()
     w1 = build_scenario(cfg)
@@ -201,7 +260,7 @@ def test_audit_flags_separation_breach():
     # Force a breach through the audit function itself.
     from uavmec.audit import audit_slot
     pos = np.array([[100.0, 100.0], [100.0 + cfg.min_separation / 2, 100.0]])
-    msgs = audit_slot(
+    msgs, _ = audit_slot(
         profile=np.full(cfg.num_uds, LOCAL), n_servers=cfg.num_suavs + 1,
         z=np.zeros((cfg.num_suavs + 1, cfg.num_uds)),
         w=np.zeros((cfg.num_suavs + 1, cfg.num_uds)),

@@ -84,18 +84,22 @@ def reference_best_response(m, profile, ctx):
 
 def reference_stage1(ctx):
     """(profile, sweeps, moves, fallbacks, converged) of the rebuild loop,
-    and for each move the larger magnitude of the potential around it."""
+    and for each move the larger magnitude of the potential around it.
+    ``fallbacks`` are the (ud, server) pairs flagged in the last sweep."""
     profile = np.full(ctx.n_uds, LOCAL, dtype=int)
-    moves, fallbacks, scales = [], [], []
+    moves, scales = [], []
     converged = False
     sweeps = 0
     for _ in range(10 * ctx.n_uds + 10):
         sweeps += 1
         changed = False
+        fallbacks = []
         for m in range(ctx.n_uds):
             br = reference_best_response(m, profile, ctx)
             cur = int(profile[m])
             if cur in br.best:
+                if br.fallback:
+                    fallbacks.append((m, cur))
                 continue
             if len(br.best) == 1:
                 target = br.best[0]
