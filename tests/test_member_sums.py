@@ -30,15 +30,37 @@ from uavmec.verification import random_game_context, random_profile
 DPHI_RTOL = 1e-9
 
 
-def reference_best_response(m, profile, ctx):
+def joined_sums(m, profile, ctx):
+    """Per-server sum(beta), sum(phi) and member count with m joined."""
     onehot = profile[None, :] == np.arange(ctx.n_servers)[:, None]
     sum_b = (ctx.beta * onehot).sum(axis=1)
     sum_p = (ctx.phi * onehot).sum(axis=1)
     counts = onehot.sum(axis=1)
     in_s = onehot[:, m]
-    joined_b = sum_b + np.where(in_s, 0.0, ctx.beta[:, m])
-    joined_p = sum_p + np.where(in_s, 0.0, ctx.phi[:, m])
-    joined_n = counts + np.where(in_s, 0, 1)
+    return (sum_b + np.where(in_s, 0.0, ctx.beta[:, m]),
+            sum_p + np.where(in_s, 0.0, ctx.phi[:, m]),
+            counts + np.where(in_s, 0, 1))
+
+
+def reference_delay(m, s, joined, ctx):
+    """Completion delay of UD m on server s under the re-derived shares."""
+    joined_b, joined_p, joined_n = joined
+    if ctx.data_bits[m] == 0:
+        return 0.0
+    if ctx.uniform_shares:
+        return float(joined_n[s] * (ctx.trans_base[s, m]
+                                    + ctx.exec_base[s, m]))
+    w_share = (ctx.phi[s, m] / joined_p[s] if joined_p[s] > 0
+               else 1.0 / joined_n[s])
+    z_share = (ctx.beta[s, m] / joined_b[s] if joined_b[s] > 0
+               else 1.0 / joined_n[s])
+    return float(ctx.trans_base[s, m] / w_share
+                 + ctx.exec_base[s, m] / z_share)
+
+
+def reference_best_response(m, profile, ctx):
+    joined = joined_sums(m, profile, ctx)
+    joined_b, joined_p, joined_n = joined
 
     utilities = {}
     feasible = []
@@ -50,19 +72,8 @@ def reference_best_response(m, profile, ctx):
             u = queue_term + ctx.beta[s, m] * joined_b[s] \
                 + ctx.phi[s, m] * joined_p[s]
         utilities[s] = float(u)
-        if ctx.data_bits[m] == 0:
-            delay = 0.0
-        elif ctx.uniform_shares:
-            delay = float(joined_n[s] * (ctx.trans_base[s, m]
-                                         + ctx.exec_base[s, m]))
-        else:
-            w_share = (ctx.phi[s, m] / joined_p[s] if joined_p[s] > 0
-                       else 1.0 / joined_n[s])
-            z_share = (ctx.beta[s, m] / joined_b[s] if joined_b[s] > 0
-                       else 1.0 / joined_n[s])
-            delay = float(ctx.trans_base[s, m] / w_share
-                          + ctx.exec_base[s, m] / z_share)
-        if delay <= ctx.deadline[m] + DEADLINE_SLACK:
+        if reference_delay(m, s, joined, ctx) \
+                <= ctx.deadline[m] + DEADLINE_SLACK:
             feasible.append(s)
 
     candidates = list(feasible)
@@ -156,6 +167,45 @@ def test_best_response_matches_the_rebuild_exactly():
                     == reference_best_response(m, profile, ctx)
                 checked += 1
     assert checked > 1500
+
+
+def deadline_at(limit):
+    """A deadline d with d + DEADLINE_SLACK == limit exactly, or None."""
+    d = limit - DEADLINE_SLACK
+    for _ in range(8):
+        total = d + DEADLINE_SLACK
+        if total == limit:
+            return d
+        d = np.nextafter(d, np.inf if total < limit else -np.inf)
+    return None
+
+
+def test_best_response_deadline_test_is_exact_to_the_ulp():
+    """For every UD/server pair, deadlines whose limit (deadline +
+    DEADLINE_SLACK) is exactly the reference completion time, so the edge
+    just fits, or one ulp below it, so it just misses: a share or delay
+    that rounds differently from the reference changes a candidate set."""
+    rng = np.random.default_rng(26)
+    pinned = 0
+    for ctx in game_variants(rng):
+        profile = random_profile(ctx, rng)
+        sums = MemberSums(profile, ctx)
+        delays = [[reference_delay(m, s, joined_sums(m, profile, ctx), ctx)
+                   for s in range(ctx.n_servers)] for m in range(ctx.n_uds)]
+        for s in range(ctx.n_servers):
+            for below in (False, True):
+                for m in range(ctx.n_uds):
+                    limit = delays[m][s]
+                    if below:
+                        limit = np.nextafter(limit, -np.inf)
+                    deadline = deadline_at(limit)
+                    if deadline is None or deadline <= 0.0:
+                        continue
+                    ctx.deadline[m] = deadline
+                    pinned += 1
+                    assert best_response(m, profile, ctx, sums) \
+                        == reference_best_response(m, profile, ctx)
+    assert pinned > 5000
 
 
 def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed):
