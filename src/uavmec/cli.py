@@ -128,30 +128,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-UAV edge-computing simulator and baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one or more simulations")
-    sim.add_argument("--config", help="JSON file of config overrides")
-    sim.add_argument("--profile", choices=sorted(PROFILES), default="desk",
-                     help="base parameter set (default: desk)")
-    sim.add_argument("--approach", default="OJTRTA",
-                     help="approach id, comma list, or 'all'")
-    sim.add_argument("--seeds", type=int, nargs="+",
-                     help="random seeds (default: config seed)")
-    sim.add_argument("--slots", type=int, help="override the horizon length")
-    sim.add_argument("--out", help="directory for CSV/JSON outputs")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--config", help="JSON file of config overrides")
+    runs.add_argument("--profile", choices=sorted(PROFILES), default="desk",
+                      help="base parameter set (default: desk)")
+    runs.add_argument("--approach", default="OJTRTA",
+                      help="approach id, comma list, or 'all'")
+    runs.add_argument("--seeds", type=int, nargs="+",
+                      help="random seeds (default: the config seed for "
+                      "simulate, 0 for sweep)")
+    runs.add_argument("--slots", type=int,
+                      help="override the horizon length")
+    runs.add_argument("--out", help="directory for CSV/JSON outputs")
+
+    sim = sub.add_parser("simulate", parents=[runs],
+                         help="run one or more simulations")
     sim.add_argument("--trace", action="store_true",
                      help="record per-slot positions for plotting")
     sim.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="repeat runs over a config parameter")
+    sweep = sub.add_parser("sweep", parents=[runs],
+                           help="repeat runs over a config parameter")
     sweep.add_argument("--param", required=True,
                        help="config field to vary ('V' = lyapunov_v)")
     sweep.add_argument("--values", type=float, nargs="+", required=True)
-    sweep.add_argument("--config", help="JSON file of config overrides")
-    sweep.add_argument("--profile", choices=sorted(PROFILES), default="desk")
-    sweep.add_argument("--approach", default="OJTRTA")
-    sweep.add_argument("--seeds", type=int, nargs="+")
-    sweep.add_argument("--slots", type=int)
-    sweep.add_argument("--out", help="directory for sweep outputs")
     sweep.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the solver verification suites")
