@@ -595,8 +595,10 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
                                   bounds=sub.bounds(), **solver).x)
             if tier[0] > 1.0:
                 polished = audit(sub.kkt_polish(tier[1]))
-                tier = polished if polished[0] < tier[0] else tier
-            best = tier if best is None or tier[0] < best[0] else best
+                if polished[0] < tier[0]:
+                    tier = polished
+            if best is None or tier[0] < best[0]:
+                best = tier
             if tier[0] <= 1.0:
                 break
     _, x, kkt, feas = best
