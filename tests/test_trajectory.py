@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec import trajectory
+from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.config import desk_profile
 from uavmec.trajectory import (
     KKT_TOL, FEAS_TOL, SuavAssignment, TrajectoryProblem, _Subproblem,
@@ -329,25 +329,6 @@ def test_build_problem_weight_mapping():
     assert np.array_equal(prob.queue_p, queue_p)
 
 
-def test_expansion_point_feasible_but_not_stationary():
-    # A single SUAV with a heavy UD far away: the expansion point must be
-    # feasible to start from but fails the stationarity audit, since the
-    # rate term pulls the position toward the UD.
-    prob = TrajectoryProblem(
-        current_positions=np.array([[100.0, 100.0]]),
-        assignments=[SuavAssignment(ud_positions=np.array([[400.0, 400.0]]),
-                                    weights=np.array([300.0]),
-                                    phi=np.array([2e5]))],
-        queue_p=np.array([2.0]), altitude=100.0, dt=1.0,
-        v_max=25.0, d_min=10.0, **PROP)
-    sub = _Subproblem(prob, prob.current_positions.copy())
-    x = sub.initial_point()
-    assert float(np.min(sub.constraints(x))) >= -1e-12
-    assert sub.kkt_residual(x) > KKT_TOL
-
-
-# --- solver tiers ---
-
 def heavy_ud_problem():
     """One SUAV pulled toward a heavy UD far away."""
     return TrajectoryProblem(
@@ -358,6 +339,19 @@ def heavy_ud_problem():
         queue_p=np.array([2.0]), altitude=100.0, dt=1.0,
         v_max=25.0, d_min=10.0, **PROP)
 
+
+def test_expansion_point_feasible_but_not_stationary():
+    # A single SUAV with a heavy UD far away: the expansion point must be
+    # feasible to start from but fails the stationarity audit, since the
+    # rate term pulls the position toward the UD.
+    prob = heavy_ud_problem()
+    sub = _Subproblem(prob, prob.current_positions.copy())
+    x = sub.initial_point()
+    assert float(np.min(sub.constraints(x))) >= -1e-12
+    assert sub.kkt_residual(x) > KKT_TOL
+
+
+# --- solver tiers ---
 
 def record_solver_methods(monkeypatch):
     """Wrap the subproblem's ``minimize``; returns the methods it ran."""
