@@ -14,11 +14,14 @@ subproblem is solved with SLSQP plus an explicit KKT-residual audit.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from operator import truediv
 
 import numpy as np
 from scipy.optimize import minimize, nnls, NonlinearConstraint
+from scipy.optimize._slsqplib import slsqp
 
 from .compute import induced_speed_term, propulsion_power
 
@@ -175,120 +178,254 @@ class SubproblemSolution:
 _EYE2 = np.eye(2).ravel()
 
 
-class _Subproblem:
-    """One convex subproblem instance with packed variables [q, xi, zeta].
+def _pairwise_sum(a, lo=0, hi=None) -> float:
+    """``np.add.reduce(np.array(a[lo:hi]))`` on a list of Python floats.
 
-    Everything fixed for the instance is built once here: the rate-surrogate
-    coefficients of all UDs as flat arrays with an owner index, the pair
-    arrays, the derived scalars and a Jacobian template holding the constant
-    entries.  Each evaluation is then a few array operations.  Every value
-    is computed with the same floating-point operations, in the same order,
-    as the per-SUAV formulas, so results are bit-for-bit those of the
-    formulas (tests/test_subproblem_kernels.py keeps them as the oracle).
-    Two rules keep it so: a power other than a square is taken per scalar
-    (NumPy's array ``**`` rounds differently), and the separation rows keep
-    ``np.dot`` on 2-vectors (BLAS may fuse its multiply-add).
+    NumPy adds a 1-D float64 array pairwise onto the identity 0.0: fewer
+    than 8 terms in sequence from -0.0, up to 128 with eight accumulators,
+    and longer runs split in halves at a multiple of 8.  Repeating that
+    order gives the same bits.
+    """
+    return 0.0 + _pairwise(a, lo, len(a) if hi is None else hi)
 
-    Constraint rows are ordered: induced-term surrogates (N), rate
-    surrogates (K, SUAV by SUAV), speed balls (N), separations (pairs).
+
+def _pairwise(a, lo, hi):
+    n = hi - lo
+    if n < 8:
+        res = -0.0
+        for i in range(lo, hi):
+            res += a[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, hi):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a, lo, lo + half) + _pairwise(a, lo + half, hi)
+
+
+class _Layout:
+    """What the assignment fixes for every subproblem of one stage-2 call.
+
+    Sizes, bounds, the UDs' data concatenated SUAV by SUAV with an owner
+    index, the SUAV pairs and the flat indices of the Jacobian and Hessian
+    entries depend only on who is assigned where, which stays fixed over
+    the SCA iterations of a slot, so ``run_stage2`` builds them once.
     """
 
-    def __init__(self, problem: TrajectoryProblem, expansion: np.ndarray):
-        self.p = p = problem
+    def __init__(self, problem: TrajectoryProblem):
         n = problem.n_suavs
-        self.n = n
-        self.exp = np.asarray(expansion, dtype=float).reshape(n, 2)
-        self.cur = problem.current_positions
-        self.dt = problem.dt
-        diff = self.exp - self.cur
-        self.v_exp = np.linalg.norm(diff, axis=1) / self.dt
-        self.xi_exp = induced_speed_term(self.v_exp, problem.prop_c3)
-        self.f_lin = 2.0 / self.dt ** 2 * diff          # (N,2)
         asg = problem.assignments
         k_n = [len(a.weights) for a in asg]
-        self.n_zeta = k = sum(k_n)
+        k = sum(k_n)
+        self.n, self.n_zeta = n, k
         self.zeta_off = np.cumsum([0] + k_n)
         self.n_var = nv = 3 * n + k
         self.lb = np.concatenate([np.full(2 * n, -np.inf),
                                   np.full(n, XI_FLOOR),
                                   np.full(k, ZETA_FLOOR)])
-        self._segments = [(int(lo), int(hi)) for lo, hi
-                          in zip(self.zeta_off[:-1], self.zeta_off[1:])
-                          if hi > lo]
-        # rate-surrogate coefficients at the expansion, one entry per UD
+        self.segments = [(int(lo), int(hi)) for lo, hi
+                         in zip(self.zeta_off[:-1], self.zeta_off[1:])
+                         if hi > lo]
         rows = np.arange(n)
-        owner = np.repeat(rows, k_n)
+        self.owner = owner = np.repeat(rows, k_n)
         self.ud = np.concatenate([a.ud_positions for a in asg])
         self.w = np.concatenate([a.weights for a in asg])
-        phi = np.concatenate([a.phi for a in asg])
-        self.g_d2exp = np.add.reduce((self.exp[owner] - self.ud) ** 2, axis=1)
-        den = p.altitude ** 2 + self.g_d2exp
-        self.g_exp = np.log2(1.0 + phi / den)
-        self.g_slope = phi * LOG2E / (den * (den + phi))
-        # the curved rows (induced, rate, speed) each read one position
-        # q_s - ref: s and ref are (i, cur_i), (owner, ud) and (i, cur_i)
-        self._pos_idx = 2 * np.concatenate([rows, owner, rows])[:, None] \
-            + [0, 1]
-        self._pos_ref = np.concatenate([self.cur, self.ud, self.cur])
-        # rate and speed rows are top - curv * (||q_s - ref||^2 - base);
-        # the speed row's unit curvature and zero base leave it exact
-        self._row_top = np.concatenate([self.g_exp,
-                                        np.full(n, (p.v_max * self.dt) ** 2)])
-        self._row_curv = np.concatenate([self.g_slope, np.ones(n)])
-        self._row_base = np.concatenate([self.g_d2exp, np.zeros(n)])
+        self.phi = np.concatenate([a.phi for a in asg])
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pair_i = np.array([i for i, _ in pairs], dtype=int)
-        pair_j = np.array([j for _, j in pairs], dtype=int)
-        self._pair_qi = 2 * pair_i[:, None] + [0, 1]
-        self._pair_qj = 2 * pair_j[:, None] + [0, 1]
-        self.pair_e = self.exp[pair_i] - self.exp[pair_j]
-        self.pair_ee = np.array([np.dot(e, e) for e in self.pair_e])
-        self.n_con = 2 * n + k + len(pairs)
-        # derived scalars and vectors of the objective and the rows
-        self.coef = p.queue_p * self.dt
-        self.grad_xi = self.coef * p.prop_c2
-        self.neg_w = -self.w
-        self.dt2, self.dt3 = self.dt ** 2, self.dt ** 3
-        self.blade = p.prop_c1 * 3.0
-        self.tip2 = p.tip_speed ** 2
-        self.blade_grad = 6.0 * p.prop_c1 / (self.tip2 * self.dt2)
-        self.parasite_grad = 3.0 * p.prop_c4
-        self.xi_exp2 = 2.0 * self.xi_exp
-        self.xi_exp_sq, self.v_exp_sq = self.xi_exp ** 2, self.v_exp ** 2
-        self.c3x2 = 2.0 * p.prop_c3
-        self.d_min2 = p.d_min ** 2
-        # raw Jacobian: constant entries (f_lin, the -1 of each zeta, the
-        # separation rows) in a template; the xi diagonal and the position
-        # entries of the rate and speed rows vary, at flat indices _var_idx
-        sep = (2 * n + k + np.arange(len(pairs)))[:, None] * nv
-        jac = np.zeros((self.n_con, nv))
-        jac.flat[np.concatenate([
-            (rows[:, None] * nv + self._pos_idx[:n]).ravel(),
+        n_pairs = len(pairs)
+        self.pair_i = np.array([i for i, _ in pairs], dtype=int)
+        self.pair_j = np.array([j for _, j in pairs], dtype=int)
+        self.n_con = m = 2 * n + k + n_pairs
+        # the curved rows (induced, rate, speed) each read the position of
+        # SUAV s: s is i, the owner and i
+        pos_idx = 2 * np.concatenate([rows, owner, rows])[:, None] + [0, 1]
+        # Jacobian: the constant entries (f_lin, the -1 of each zeta, the
+        # separation rows) at const_idx; the xi diagonal and the position
+        # entries of the rate and speed rows vary, at var_idx
+        sep = (2 * n + k + np.arange(n_pairs))[:, None] * nv
+        self.const_idx = np.concatenate([
+            (rows[:, None] * nv + pos_idx[:n]).ravel(),
             (n + np.arange(k)) * nv + 3 * n + np.arange(k),
-            (sep + self._pair_qi).ravel(),
-            (sep + self._pair_qj).ravel()])] = np.concatenate([
-                self.f_lin.ravel(), np.full(k, -1.0),
-                (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
-        self._jac_raw = jac
-        self._var_idx = np.concatenate([
+            (sep + 2 * self.pair_i[:, None] + [0, 1]).ravel(),
+            (sep + 2 * self.pair_j[:, None] + [0, 1]).ravel()])
+        self.var_idx = np.concatenate([
             rows * nv + 2 * n + rows,
-            ((n + np.arange(k + n))[:, None] * nv
-             + self._pos_idx[n:]).ravel()])
-        self._neg_curv = -self._row_curv
+            ((n + np.arange(k + n))[:, None] * nv + pos_idx[n:]).ravel()])
+        self.var_row = self.var_idx // nv
+        # the same entries in SLSQP's column-major (m, n_var) matrix
+        self.var_idx_f = self.var_idx % nv * m + self.var_row
+        self.bound_rows = np.eye(nv)[2 * n:]
         # Hessian targets: the 2x2 position block of each SUAV, and the
         # block of the SUAV each rate or speed row reads
         block = 2 * rows[:, None] * (nv + 1) + [0, 1, nv, nv + 1]
-        self._block_idx = block.ravel()
-        self._row_block = block[np.concatenate([owner, rows])]
+        self.block_idx = block.ravel()
+        self.row_block = block[np.concatenate([owner, rows])]
+        # Python floats for the evaluations
+        self.cur_xy = [(2 * i, cx, cy) for i, (cx, cy)
+                       in enumerate(problem.current_positions.tolist())]
+        self.w_list = self.w.tolist()
+        self.neg_w = (-self.w).tolist()
+        self.uds = list(zip((2 * owner).tolist(), self.ud[:, 0].tolist(),
+                            self.ud[:, 1].tolist()))
+        self.pair_pos = [(2 * i, 2 * j) for i, j in pairs]
+
+
+class _Subproblem:
+    """One convex subproblem instance with packed variables [q, xi, zeta].
+
+    Everything set by the expansion point is built once here, from the
+    slot's ``_Layout``: the rate-surrogate coefficients of all UDs, the
+    pair vectors, the derived scalars and the Jacobian templates holding
+    the constant entries.  ``evaluate`` and ``derivatives`` are the one
+    implementation of the objective, the constraint rows and their first
+    derivatives, in Python floats; every other evaluation is a view of
+    them.  Each value is computed with the same floating-point operations,
+    in the same order, as the per-SUAV formulas, so results are bit-for-bit
+    those of the formulas (tests/test_subproblem_kernels.py keeps them as
+    the oracle).  Three rules keep it so: array sums go through
+    ``_pairwise_sum``, the parasite cube is NumPy's array ``**`` (which
+    rounds unlike scalar ``pow``), and the separation rows keep ``np.dot``
+    on 2-vectors (BLAS may fuse its multiply-add).
+
+    Constraint rows are ordered: induced-term surrogates (N), rate
+    surrogates (K, SUAV by SUAV), speed balls (N), separations (pairs).
+    """
+
+    def __init__(self, problem: TrajectoryProblem, expansion: np.ndarray,
+                 layout: _Layout | None = None):
+        self.p = p = problem
+        self.lay = lay = _Layout(problem) if layout is None else layout
+        self.n = n = lay.n
+        self.n_zeta, self.n_var, self.n_con = lay.n_zeta, lay.n_var, lay.n_con
+        self.zeta_off, self.lb, self.w = lay.zeta_off, lay.lb, lay.w
+        self.exp = np.asarray(expansion, dtype=float).reshape(n, 2)
+        self.cur = problem.current_positions
+        self.dt = dt = problem.dt
+        diff = self.exp - self.cur
+        self.v_exp = np.linalg.norm(diff, axis=1) / dt
+        self.xi_exp = induced_speed_term(self.v_exp, p.prop_c3)
+        self.f_lin = 2.0 / dt ** 2 * diff          # (N,2)
+        # rate-surrogate coefficients at the expansion, one entry per UD
+        self.g_d2exp = np.add.reduce((self.exp[lay.owner] - lay.ud) ** 2,
+                                     axis=1)
+        den = p.altitude ** 2 + self.g_d2exp
+        self.g_exp = np.log2(1.0 + lay.phi / den)
+        self.g_slope = lay.phi * LOG2E / (den * (den + lay.phi))
+        self._row_curv = np.concatenate([self.g_slope, np.ones(n)])
+        self.pair_e = self.exp[lay.pair_i] - self.exp[lay.pair_j]
+        pair_ee = [float(np.dot(e, e)) for e in self.pair_e]
+        # derived scalars and vectors of the objective and the rows
+        self.coef = p.queue_p * dt
+        self.dt2, self.dt3 = dt ** 2, dt ** 3
+        self.tip2 = p.tip_speed ** 2
+        self.top = (p.v_max * dt) ** 2
+        self.c3x2 = 2.0 * p.prop_c3
+        self.d_min2 = p.d_min ** 2
+        # Python floats for the evaluations: scalars, per SUAV, per UD, per
+        # pair
+        self._prop = (p.prop_c1 * 3.0, self.dt2, self.tip2, p.prop_c2,
+                      p.prop_c4, self.dt3, p.prop_c1)
+        self._grad_pos = (6.0 * p.prop_c1 / (self.tip2 * self.dt2),
+                          3.0 * p.prop_c4, self.dt3)
+        self._coef = self.coef.tolist()
+        self._grad_xi = (self.coef * p.prop_c2).tolist()
+        xi_exp2 = 2.0 * self.xi_exp
+        self._xi_exp2 = xi_exp2.tolist()
+        self._induced = list(zip(*(a.tolist() for a in (
+            self.f_lin[:, 0], self.f_lin[:, 1], xi_exp2, self.xi_exp ** 2,
+            self.v_exp ** 2))))
+        g_exp, g_slope = self.g_exp.tolist(), self.g_slope.tolist()
+        self._rates = [(o, ux, uy, ge, gs, gd) for (o, ux, uy), ge, gs, gd
+                       in zip(lay.uds, g_exp, g_slope, self.g_d2exp.tolist())]
+        self._rate_jac = [(o, ux, uy, -gs)
+                          for (o, ux, uy), gs in zip(lay.uds, g_slope)]
+        self._seps = [(i, j, e, float(np.dot(e, e)))
+                      for (i, j), e in zip(lay.pair_pos, self.pair_e)]
+        # Jacobian templates: raw, and scaled above the finite bound rows
+        jac = np.zeros((self.n_con, self.n_var))
+        jac.flat[lay.const_idx] = np.concatenate([
+            self.f_lin.ravel(), np.full(self.n_zeta, -1.0),
+            (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
+        self._jac_raw = jac
         self.scale = 1.0
         # normalize constraint rows by their gradient norm at the start so
         # the solver's feasibility precision is relative, not absolute
         raw = self._constraints_jac_raw(self.initial_point())
         self.con_scale = 1.0 / (1.0 + np.linalg.norm(raw, axis=1))
-        # scaled Jacobian with the finite variable bounds as extra rows
         self._kkt_a = np.vstack([jac * self.con_scale[:, None],
-                                 np.eye(nv)[2 * n:]])
-        self._var_scale = self.con_scale[self._var_idx // nv]
+                                 lay.bound_rows])
+        self._var_scale = self.con_scale[lay.var_row]
+
+    # -- the evaluations ----------------------------------------------------
+    def evaluate(self, x):
+        """(f, c): the objective over ``scale`` and the raw constraint rows
+        (a list) at x, what SLSQP asks for in its mode 1."""
+        n = self.n
+        xs = x.tolist()
+        q, xi, zeta = xs[:2 * n], xs[2 * n:3 * n], xs[3 * n:]
+        ratio = list(map(truediv, self.lay.w_list, zeta))
+        total = 0.0
+        for lo, hi in self.lay.segments:
+            total += _pairwise_sum(ratio, lo, hi)
+        d = [(q[i] - cx, q[i + 1] - cy) for i, cx, cy in self.lay.cur_xy]
+        ss = [dx * dx + dy * dy for dx, dy in d]
+        blade, dt2, tip2, c2, c4, dt3, c1 = self._prop
+        total += _pairwise_sum([
+            coef * (blade * (s / dt2) / tip2 + c2 * v + c4 * cube / dt3 + c1)
+            for coef, s, v, cube
+            in zip(self._coef, ss, xi, (np.sqrt(ss) ** 3).tolist())])
+        # induced-term surrogates f_sur - c3/xi^2, rate surrogates
+        # g_sur - zeta, speed balls (v_max dt)^2 - |d|^2 and separations
+        # 2 e_exp.(q_i - q_j) - ||e_exp||^2 - d_min^2, each >= 0
+        c3, top, d_min2 = self.p.prop_c3, self.top, self.d_min2
+        c = [a2 * v - asq - vsq + (fx * dx + fy * dy) - c3 / (v * v)
+             for (fx, fy, a2, asq, vsq), v, (dx, dy)
+             in zip(self._induced, xi, d)]
+        c += [ge - gs * (px * px + py * py - gd) - z
+              for (o, ux, uy, ge, gs, gd), z in zip(self._rates, zeta)
+              for px in (q[o] - ux,) for py in (q[o + 1] - uy,)]
+        c += [top - s for s in ss]
+        c += [2.0 * float(np.dot(e, (q[i] - q[j], q[i + 1] - q[j + 1])))
+              - ee - d_min2 for i, j, e, ee in self._seps]
+        return total / self.scale, c
+
+    def derivatives(self, x):
+        """(g, jv): the objective's gradient over ``scale`` (an array) and
+        the varying raw Jacobian entries (a list, in ``var_idx`` order) at
+        x, what SLSQP asks for in its mode -1."""
+        n = self.n
+        xs = x.tolist()
+        q, xi, zeta = xs[:2 * n], xs[2 * n:3 * n], xs[3 * n:]
+        d = [(q[i] - cx, q[i + 1] - cy) for i, cx, cy in self.lay.cur_xy]
+        blade, parasite, dt3 = self._grad_pos
+        g = [f * e for (dx, dy), coef in zip(d, self._coef)
+             for f in (coef * (blade + parasite * math.sqrt(dx * dx + dy * dy)
+                               / dt3),)
+             for e in (dx, dy)]
+        g += self._grad_xi
+        g += [nw / (z * z) for nw, z in zip(self.lay.neg_w, zeta)]
+        # the xi diagonal, then the position entries of the rate and speed
+        # rows: -curvature * 2 (q_s - ref)
+        c3x2 = self.c3x2
+        jv = [a2 + c3x2 / v ** 3 for a2, v in zip(self._xi_exp2, xi)]
+        jv += [ns * (2.0 * e) for o, ux, uy, ns in self._rate_jac
+               for e in (q[o] - ux, q[o + 1] - uy)]
+        jv += [-1.0 * (2.0 * e) for dx, dy in d for e in (dx, dy)]
+        return np.array(g) / self.scale, jv
 
     # -- variable packing -------------------------------------------------
     def unpack(self, x):
@@ -301,84 +438,33 @@ class _Subproblem:
     def initial_point(self):
         return np.concatenate([self.exp.ravel(), self.xi_exp, self.g_exp])
 
-    # -- objective ---------------------------------------------------------
+    # -- views of the evaluations --------------------------------------------
     def objective(self, x):
-        n = self.n
-        p = self.p
-        ratio = self.w / x[3 * n:]
-        total = 0.0
-        for lo, hi in self._segments:
-            total += np.add.reduce(ratio[lo:hi])
-        d = x[self._pos_idx[:n]] - self.cur
-        ss = np.add.reduce(d * d, axis=1)
-        prop = self.blade * (ss / self.dt2) / self.tip2 \
-            + p.prop_c2 * x[2 * n:3 * n] \
-            + p.prop_c4 * np.sqrt(ss) ** 3 / self.dt3 + p.prop_c1
-        total += np.add.reduce(self.coef * prop)
-        return total / self.scale
+        return self.evaluate(x)[0]
 
     def gradient(self, x):
-        n = self.n
-        g = np.empty_like(x)
-        g[3 * n:] = self.neg_w / x[3 * n:] ** 2
-        g[2 * n:3 * n] = self.grad_xi
-        d = x[self._pos_idx[:n]] - self.cur
-        factor = self.coef * (self.blade_grad + self.parasite_grad
-                              * np.sqrt(np.add.reduce(d * d, axis=1))
-                              / self.dt3)
-        g[:2 * n] = (factor[:, None] * d).ravel()
-        return g / self.scale
+        return self.derivatives(x)[0]
 
-    # -- constraints (vector c(x) >= 0) -------------------------------------
     def constraints(self, x):
-        return self._constraints_raw(x) * self.con_scale
+        """Constraint rows c(x) >= 0, scaled by ``con_scale``."""
+        return np.multiply(self.evaluate(x)[1], self.con_scale)
 
     def constraints_jac(self, x):
-        return self._kkt_jac(x)[:self.n_con]
+        return self._kkt_jac(self.derivatives(x)[1])[:self.n_con]
 
     def _constraints_raw(self, x):
-        n, k = self.n, self.n_zeta
-        xi = x[2 * n:3 * n]
-        c = np.empty(self.n_con)
-        # per curved row: f_lin.(q - cur) for the induced rows, and
-        # ||q_s - ref||^2 for the rate and speed rows
-        pos = x[self._pos_idx] - self._pos_ref
-        sq = pos * pos
-        sq[:n] = self.f_lin * pos[:n]
-        sq = np.add.reduce(sq, axis=1)
-        # induced-term surrogate: f_sur - c3/xi^2 >= 0
-        c[:n] = self.xi_exp2 * xi - self.xi_exp_sq - self.v_exp_sq \
-            + sq[:n] - self.p.prop_c3 / xi ** 2
-        # rate surrogates g_sur - zeta >= 0; speed (v_max dt)^2 - |d|^2 >= 0
-        c[n:2 * n + k] = self._row_top - self._row_curv \
-            * (sq[n:] - self._row_base)
-        c[n:n + k] -= x[3 * n:]
-        # separation: 2 e_exp.(q_i - q_j) - ||e_exp||^2 - d_min^2 >= 0
-        if len(self.pair_e):
-            dots = [np.dot(e, f) for e, f in
-                    zip(self.pair_e, x[self._pair_qi] - x[self._pair_qj])]
-            c[2 * n + k:] = 2.0 * np.array(dots) - self.pair_ee \
-                - self.d_min2
-        return c
-
-    def _jac_values(self, x):
-        """The Jacobian entries that vary with x, in ``_var_idx`` order."""
-        n = self.n
-        cube = np.array([v ** 3 for v in x[2 * n:3 * n]])
-        return np.concatenate([
-            self.xi_exp2 + self.c3x2 / cube,
-            (self._neg_curv[:, None] * (2.0 * (x[self._pos_idx[n:]]
-                                              - self._pos_ref[n:]))).ravel()])
+        return np.array(self.evaluate(x)[1])
 
     def _constraints_jac_raw(self, x):
         jac = self._jac_raw.copy()
-        jac.flat[self._var_idx] = self._jac_values(x)
+        jac.flat[self.lay.var_idx] = self.derivatives(x)[1]
         return jac
 
-    def _kkt_jac(self, x):
-        """Scaled constraint Jacobian above the finite variable-bound rows."""
+    def _kkt_jac(self, jv):
+        """Scaled constraint Jacobian above the finite variable-bound rows,
+        from the varying raw entries ``jv``."""
         a = self._kkt_a.copy()
-        a.flat[self._var_idx] = self._jac_values(x) * self._var_scale
+        a.flat[self.lay.var_idx] = np.multiply(jv, self._var_scale)
         return a
 
     def bounds(self):
@@ -422,7 +508,7 @@ class _Subproblem:
             parasite = self.coef[m] * 3.0 * p.prop_c4 / self.dt3
             block[m] = block[m] + parasite[:, None] * (rm * _EYE2
                                                        + outer / rm)
-        h.flat[self._block_idx] += block.ravel()
+        h.flat[self.lay.block_idx] += block.ravel()
         return h
 
     def lagrangian_hessian(self, x, rows, lam):
@@ -448,15 +534,22 @@ class _Subproblem:
         if curved.any():
             r = rows[curved] - self.n
             m = s[curved] * 2.0 * self._row_curv[r]
-            np.add.at(h.reshape(-1), self._row_block[r].ravel(),
+            np.add.at(h.reshape(-1), self.lay.row_block[r].ravel(),
                       (m[:, None] * _EYE2).ravel())
         return h
 
     def _kkt_rows(self, x):
         """Constraint rows plus finite variable bounds, as (matrix, values)."""
-        c = np.concatenate([self.constraints(x),
+        return self._kkt_system(x)[:2]
+
+    def _kkt_system(self, x):
+        """(a, c, grad, f) at x: ``_kkt_rows`` plus the gradient and value
+        of the raw (unscaled) objective."""
+        f, rows = self.evaluate(x)
+        g, jv = self.derivatives(x)
+        c = np.concatenate([np.multiply(rows, self.con_scale),
                             x[2 * self.n:] - self.lb[2 * self.n:]])
-        return self._kkt_jac(x), c
+        return self._kkt_jac(jv), c, g * self.scale, f * self.scale
 
     def kkt_polish(self, x, active_tol: float = 1e-5, max_rounds: int = 4):
         """Newton iterations on the active-set KKT system.
@@ -467,8 +560,7 @@ class _Subproblem:
         input unchanged when no progress is possible.
         """
         x = np.asarray(x, dtype=float).copy()
-        a, c = self._kkt_rows(x)
-        grad = self.gradient(x) * self.scale
+        a, c, grad, _ = self._kkt_system(x)
         rn = 1.0 + np.linalg.norm(a, axis=1)
         work = np.flatnonzero(c / rn <= active_tol)
         lam, _ = nnls(a[work].T, grad) if len(work) else (np.zeros(0), 0.0)
@@ -501,8 +593,7 @@ class _Subproblem:
                 for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
                     x_new = x + damp * step[:self.n_var]
                     lam_new = lam + damp * step[self.n_var:]
-                    a_new, c_new = self._kkt_rows(x_new)
-                    grad_new = self.gradient(x_new) * self.scale
+                    a_new, c_new, grad_new, _ = self._kkt_system(x_new)
                     if np.linalg.norm(residual(a_new, c_new, grad_new,
                                                lam_new, work)) < err:
                         x, lam = x_new, lam_new
@@ -532,9 +623,8 @@ class _Subproblem:
         normalized by the row gradient norm), so complementary slackness
         holds by construction up to ``active_tol``.
         """
-        grad = self.gradient(x) * self.scale
         # variable lower bounds enter as extra constraint rows
-        a, c = self._kkt_rows(x)
+        a, c, grad, f = self._kkt_system(x)
         cons = c[:self.n_con]
         row_norm = 1.0 + np.linalg.norm(a, axis=1)
         active = c / row_norm <= active_tol
@@ -543,13 +633,62 @@ class _Subproblem:
             lam[active], _ = nnls(a[active].T, grad)
         stat = np.max(np.abs(grad - a.T @ lam)) / (1.0 + np.max(np.abs(grad)))
         comp = np.max(lam * np.abs(c)) \
-            / (1.0 + abs(self.objective(x) * self.scale))
+            / (1.0 + abs(f))
         feas = max(0.0, -np.min(cons)) if len(cons) else 0.0
         return float(max(stat, comp, feas))
 
 
-def solve_convex_subproblem(problem: TrajectoryProblem,
-                            expansion) -> SubproblemSolution:
+def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
+    """SLSQP on ``sub`` from x0 (ftol 1e-12); returns its final x.
+
+    Runs the reverse-communication loop of Kraft's SLSQP (Kraft, *A software
+    package for sequential quadratic programming*, DFVLR-FB 88-28, 1988)
+    the way scipy 1.17's ``_minimize_slsqp`` does, with the inputs that
+    ``minimize(method="SLSQP")`` hands the core, so the result is the same
+    bit for bit (tests/test_trajectory.py holds it to ``minimize``).  The
+    core's requests are answered by ``sub.evaluate`` (mode 1) and
+    ``sub.derivatives`` (mode -1) directly; the Jacobian's constant entries
+    are written once, since the core leaves them alone.
+    """
+    lay = sub.lay
+    m, n = sub.n_con, sub.n_var
+    x = np.clip(x0, sub.lb, np.inf)
+    acc = 1e-12                                 # ftol; scipy sets tol = 10 acc
+    state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
+             "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+             "tol": 10.0 * acc, "exact": 0, "inconsistent": 0, "reset": 0,
+             "iter": 0, "itermax": maxiter, "line": 0, "m": m, "meq": 0,
+             "mode": 0, "n": n}
+    # scipy's worst-case workspace with no equality constraints
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n
+                      + 35 * n + 28)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult = np.zeros(m + 2 * n + 2)
+    # the core marks infinite bounds with NaN
+    xl = np.where(np.isfinite(sub.lb), sub.lb, np.nan)
+    xu = np.full(n, np.nan)
+    jac = np.array(sub._kkt_a[:m], order="F")
+    jac_f = jac.reshape(-1, order="F")          # a view, column-major
+    d = np.empty(m)
+    fx, c = sub.evaluate(x)
+    np.multiply(c, sub.con_scale, out=d)
+    g, jv = sub.derivatives(x)
+    jac_f[lay.var_idx_f] = np.multiply(jv, sub._var_scale)
+    while True:
+        slsqp(state, fx, g, jac, d, x, mult, xl, xu, buffer, indices)
+        if state["mode"] == 1:
+            fx, c = sub.evaluate(x)
+            np.multiply(c, sub.con_scale, out=d)
+        elif state["mode"] == -1:
+            g, jv = sub.derivatives(x)
+            jac_f[lay.var_idx_f] = np.multiply(jv, sub._var_scale)
+        else:
+            return x
+
+
+def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
+                            layout: _Layout | None = None
+                            ) -> SubproblemSolution:
     """Solve one inner convex program to the KKT contract.
 
     Starts at the expansion point (always feasible: slacks initialized at
@@ -558,9 +697,10 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
     divided by max(1, |f(x0)|), SLSQP unscaled, then a trust-region pass.  A
     tier's point that misses the contract gets a Newton polish; the first
     tier that meets it ends the cascade.  Raises with the residuals of the
-    best tier if all fail.
+    best tier if all fail.  ``layout`` is the slot's ``_Layout``, built
+    here when not given.
     """
-    sub = _Subproblem(problem, expansion)
+    sub = _Subproblem(problem, expansion, layout)
     x0 = sub.initial_point()
     f0 = abs(sub.objective(x0))
 
@@ -572,9 +712,6 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
         feas = -min(float(np.min(sub.constraints(x))), 0.0)
         return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas
 
-    slsqp = {"method": "SLSQP", "options": {"maxiter": 400, "ftol": 1e-12},
-             "constraints": {"type": "ineq", "fun": sub.constraints,
-                             "jac": sub.constraints_jac}}
     # SLSQP stalls in flat directions (tiny position gradient under a huge
     # queue-weighted slack gradient); a trust region driven deep from the
     # exactly feasible expansion lands in the Newton basin
@@ -588,11 +725,15 @@ def solve_convex_subproblem(problem: TrajectoryProblem,
         # updates; both are routine here and the audit gates the result.
         warnings.simplefilter("ignore", RuntimeWarning)
         warnings.simplefilter("ignore", UserWarning)
-        for scale, solver in ((max(1.0, f0), slsqp), (1.0, slsqp),
-                              (1.0, trust)):
+        for scale, method in ((max(1.0, f0), "SLSQP"), (1.0, "SLSQP"),
+                              (1.0, "trust-constr")):
             sub.scale = scale
-            tier = audit(minimize(sub.objective, x0, jac=sub.gradient,
-                                  bounds=sub.bounds(), **solver).x)
+            if method == "SLSQP":
+                x = _slsqp(sub, x0)
+            else:
+                x = minimize(sub.objective, x0, jac=sub.gradient,
+                             bounds=sub.bounds(), **trust).x
+            tier = audit(x)
             if tier[0] > 1.0:
                 polished = audit(sub.kkt_polish(tier[1]))
                 if polished[0] < tier[0]:
@@ -633,12 +774,13 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
         value = true_objective(problem, frozen)
         return Stage2Result(positions=frozen, iterations=0,
                             true_values=[value], converged=True)
+    layout = _Layout(problem)
     expansion = problem.current_positions.copy()
     g_prev = 0.0
     true_values: list[float] = []
     converged = False
     for _ in range(problem.max_iters):
-        sol = solve_convex_subproblem(problem, expansion)
+        sol = solve_convex_subproblem(problem, expansion, layout)
         expansion = sol.positions
         true_values.append(true_objective(problem, sol.positions))
         if abs(sol.objective - g_prev) < problem.sca_tol:

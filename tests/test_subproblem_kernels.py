@@ -1,9 +1,9 @@
-"""The subproblem's array kernels against the per-SUAV loop forms.
+"""The subproblem's evaluations against the per-SUAV loop forms.
 
 ``LoopSubproblem`` and ``loop_true_objective`` are the loop
-implementations the array kernels in ``uavmec.trajectory`` replaced.  They
-stay here as the reference: every kernel must return the same floats, bit
-for bit, since a last-bit difference in one placement changes the next
+implementations that ``uavmec.trajectory``'s evaluations replaced.  They
+stay here as the reference: every evaluation must return the same floats,
+bit for bit, since a last-bit difference in one placement changes the next
 slot's rates and the closed loop then diverges.
 """
 import numpy as np
@@ -12,8 +12,8 @@ from scipy.optimize import minimize, nnls
 
 from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.trajectory import (LOG2E, XI_FLOOR, ZETA_FLOOR,
-                               TrajectoryProblem, _Subproblem, true_g,
-                               true_objective)
+                               TrajectoryProblem, _pairwise_sum, _Subproblem,
+                               true_g, true_objective)
 from uavmec.verification import random_trajectory_problem
 
 
@@ -379,6 +379,13 @@ def test_kernels_equal_the_loop_forms_bit_for_bit():
             sub.scale = ref.scale = scale
             for x in probe_points(rng, sub):
                 assert sub.objective(x) == ref.objective(x)
+                f, c = sub.evaluate(x)
+                assert f == ref.objective(x)
+                assert np.array_equal(c, ref._constraints_raw(x))
+                g, jv = sub.derivatives(x)
+                assert np.array_equal(g, ref.gradient(x))
+                assert np.array_equal(
+                    jv, ref._constraints_jac_raw(x).flat[sub.lay.var_idx])
                 for name in ("gradient", "_constraints_raw", "constraints",
                              "_constraints_jac_raw", "constraints_jac",
                              "objective_hessian"):
@@ -400,6 +407,22 @@ def test_kernels_equal_the_loop_forms_bit_for_bit():
         assert true_objective(prob, pos) == loop_true_objective(prob, pos)
     assert seen == {"n": {1, 2, 3, 4}, "empty_suav": True, "no_zeta": True,
                     "no_pairs": True, "segment_8": True}
+
+
+def test_pairwise_sum_equals_numpy_add_reduce_bit_for_bit():
+    """Lengths 0-300 reach the 8-accumulator blocks and the halving past
+    128; signed zeros check the -0.0 start and the 0.0 identity."""
+    rng = np.random.default_rng(63)
+    for n in range(301):
+        for a in (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n),
+                  rng.uniform(0.0, 1e3, n),
+                  rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], n),
+                  np.full(n, -0.0)):
+            want = np.add.reduce(a).tobytes()
+            assert np.float64(_pairwise_sum(a.tolist())).tobytes() == want
+            lo = int(rng.integers(0, n + 1))
+            got = _pairwise_sum(a.tolist(), lo, n)
+            assert np.float64(got).tobytes() == np.add.reduce(a[lo:]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

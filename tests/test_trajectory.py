@@ -354,15 +354,21 @@ def test_expansion_point_feasible_but_not_stationary():
 # --- solver tiers ---
 
 def record_solver_methods(monkeypatch):
-    """Wrap the subproblem's ``minimize``; returns the methods it ran."""
+    """Wrap the subproblem's ``minimize`` and ``_slsqp``; returns the
+    methods they ran, an ``_slsqp`` call as "SLSQP"."""
     methods = []
-    original = trajectory.minimize
+    original, original_slsqp = trajectory.minimize, trajectory._slsqp
 
     def recording(*args, **kwargs):
         methods.append(kwargs["method"])
         return original(*args, **kwargs)
 
+    def recording_slsqp(*args, **kwargs):
+        methods.append("SLSQP")
+        return original_slsqp(*args, **kwargs)
+
     monkeypatch.setattr(trajectory, "minimize", recording)
+    monkeypatch.setattr(trajectory, "_slsqp", recording_slsqp)
     return methods
 
 
@@ -383,3 +389,40 @@ def test_subproblem_runs_every_tier_then_raises_when_all_miss(monkeypatch):
     with pytest.raises(RuntimeError, match="failed its optimality contract"):
         solve_convex_subproblem(prob, prob.current_positions.copy())
     assert methods == ["SLSQP", "SLSQP", "trust-constr"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_slsqp_loop_equals_minimize_bit_for_bit():
+    """``_slsqp`` drives scipy's SLSQP core itself; it must return the x of
+    ``minimize(method="SLSQP")`` to the bit, at both tier scales, run to
+    the end (400 iterations) and stopped early (8)."""
+    rng = np.random.default_rng(64)
+    seen = {"n": set(), "empty_suav": False, "no_zeta": False,
+            "segment_8": False, "stopped_early": False}
+    for n_suavs in (1, 2, 3, 4):
+        for max_uds in (0, 3, 12):
+            for _ in range(2):
+                prob = random_trajectory_problem(rng, n_suavs=n_suavs,
+                                                 max_uds=max_uds)
+                sub = _Subproblem(prob, prob.current_positions)
+                k_n = np.diff(sub.zeta_off)
+                seen["n"].add(n_suavs)
+                seen["empty_suav"] |= bool((k_n == 0).any())
+                seen["no_zeta"] |= sub.n_zeta == 0
+                seen["segment_8"] |= bool((k_n >= 8).any())
+                x0 = sub.initial_point()
+                for scale in (max(1.0, abs(sub.objective(x0))), 1.0):
+                    sub.scale = scale
+                    for maxiter in (400, 8):
+                        res = trajectory.minimize(
+                            sub.objective, x0, jac=sub.gradient,
+                            method="SLSQP", bounds=sub.bounds(),
+                            constraints={"type": "ineq",
+                                         "fun": sub.constraints,
+                                         "jac": sub.constraints_jac},
+                            options={"maxiter": maxiter, "ftol": 1e-12})
+                        x = trajectory._slsqp(sub, x0, maxiter=maxiter)
+                        assert x.tobytes() == res.x.tobytes()
+                        seen["stopped_early"] |= res.status == 9
+    assert seen == {"n": {1, 2, 3, 4}, "empty_suav": True, "no_zeta": True,
+                    "segment_8": True, "stopped_early": True}
