@@ -86,11 +86,14 @@ def cmd_sweep(args) -> int:
     field = _SWEEP_ALIASES.get(args.param, args.param)
     if field not in ScenarioConfig.__dataclass_fields__:
         raise SystemExit(f"unknown sweep parameter {args.param!r}")
+    base = _build_config(args)
+    if isinstance(getattr(base, field), tuple):
+        raise SystemExit(f"sweep parameter {field!r} is tuple-valued; "
+                         "--values sweeps scalar fields only")
     seeds = args.seeds if args.seeds else [0]
     approaches = _approach_list(args.approach)
     clean = True
     rows = []
-    base = _build_config(args)
     for value in args.values:
         if type(getattr(base, field)) is int and value.is_integer():
             value = int(value)   # --values parses floats

@@ -135,14 +135,15 @@ class ScenarioConfig:
         for name in self.__dataclass_fields__:
             if not _all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.num_uds < 1:
-            raise ValueError("num_uds must be >= 1")
-        if self.num_suavs < 1:
-            raise ValueError("num_suavs must be >= 1")
+        for name, low in (("num_uds", 1), ("num_suavs", 1), ("num_slots", 1),
+                          ("sca_max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         if self.slot_duration <= 0:
             raise ValueError("slot_duration must be positive")
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ValueError("area dimensions must be positive")
         if len(self.suav_initial_positions) != self.num_suavs:
@@ -188,10 +189,6 @@ class ScenarioConfig:
             raise ValueError("lyapunov_v must be positive")
         if self.suav_energy_budget <= 0:
             raise ValueError("suav_energy_budget must be positive")
-        if (isinstance(self.sca_max_iters, bool)
-                or not isinstance(self.sca_max_iters, numbers.Integral)
-                or self.sca_max_iters < 1):
-            raise ValueError("sca_max_iters must be an integer >= 1")
         if not (math.isfinite(self.sca_tolerance) and self.sca_tolerance > 0):
             raise ValueError("sca_tolerance must be finite and positive")
         eb_c, eb_p = self.budget_split()

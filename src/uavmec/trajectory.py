@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from operator import truediv
 
 import numpy as np
 from scipy.optimize import minimize, nnls, NonlinearConstraint
@@ -138,28 +137,25 @@ def true_h(q_i, q_j):
     return float(np.dot(e, e))
 
 
-def true_objective(problem: TrajectoryProblem, positions) -> float:
+def true_objective(problem: TrajectoryProblem, positions,
+                   layout: _Layout | None = None) -> float:
     """The actual placement cost at given next positions.
 
     Terms are added one at a time, in the order SUAV 0's UD rate terms,
-    SUAV 0's propulsion term, SUAV 1's rate terms, and so on.
+    SUAV 0's propulsion term, SUAV 1's rate terms, and so on.  ``layout``
+    is the slot's ``_Layout``, built here when not given.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    asg = problem.assignments
-    n = len(asg)
-    k_n = [len(a.weights) for a in asg]
-    owner = np.repeat(np.arange(n), k_n)
-    ud = np.concatenate([a.ud_positions for a in asg])
-    d2 = np.sum((positions[owner] - ud) ** 2, axis=1)
-    g = np.log2(1.0 + np.concatenate([a.phi for a in asg])
-                / (problem.altitude ** 2 + d2))
+    lay = _Layout(problem) if layout is None else layout
+    n, k = lay.n, lay.n_zeta
+    d2 = np.sum((positions[lay.owner] - lay.ud) ** 2, axis=1)
+    g = np.log2(1.0 + lay.phi / (problem.altitude ** 2 + d2))
     # a 1-D norm is sqrt(dot), and dot may round unlike sum(d * d)
     moved = positions - problem.current_positions
     speed = np.sqrt([np.dot(e, e) for e in moved]) / problem.dt
-    terms = np.zeros(1 + len(owner) + n)    # the running sum starts at 0.0
-    terms[1 + np.arange(len(owner)) + owner] = \
-        np.concatenate([a.weights for a in asg]) / g
-    terms[np.cumsum(k_n) + np.arange(1, n + 1)] = \
+    terms = np.zeros(1 + k + n)             # the running sum starts at 0.0
+    terms[1 + np.arange(k) + lay.owner] = lay.w / g
+    terms[lay.zeta_off[1:] + np.arange(1, n + 1)] = \
         problem.queue_p * problem.dt * propulsion_power(
             speed, problem.prop_c1, problem.prop_c2, problem.prop_c3,
             problem.prop_c4, problem.tip_speed)
@@ -176,45 +172,6 @@ class SubproblemSolution:
 
 
 _EYE2 = np.eye(2).ravel()
-
-
-def _pairwise_sum(a, lo=0, hi=None) -> float:
-    """``np.add.reduce(np.array(a[lo:hi]))`` on a list of Python floats.
-
-    NumPy adds a 1-D float64 array pairwise onto the identity 0.0: fewer
-    than 8 terms in sequence from -0.0, up to 128 with eight accumulators,
-    and longer runs split in halves at a multiple of 8.  Repeating that
-    order gives the same bits.
-    """
-    return 0.0 + _pairwise(a, lo, len(a) if hi is None else hi)
-
-
-def _pairwise(a, lo, hi):
-    n = hi - lo
-    if n < 8:
-        res = -0.0
-        for i in range(lo, hi):
-            res += a[i]
-        return res
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
-        end = hi - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, hi):
-            res += a[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, lo + half) + _pairwise(a, lo + half, hi)
 
 
 class _Layout:
@@ -277,7 +234,6 @@ class _Layout:
         # Python floats for the evaluations
         self.cur_xy = [(2 * i, cx, cy) for i, (cx, cy)
                        in enumerate(problem.current_positions.tolist())]
-        self.w_list = self.w.tolist()
         self.neg_w = (-self.w).tolist()
         self.uds = list(zip((2 * owner).tolist(), self.ud[:, 0].tolist(),
                             self.ud[:, 1].tolist()))
@@ -296,10 +252,10 @@ class _Subproblem:
     them.  Each value is computed with the same floating-point operations,
     in the same order, as the per-SUAV formulas, so results are bit-for-bit
     those of the formulas (tests/test_subproblem_kernels.py keeps them as
-    the oracle).  Three rules keep it so: array sums go through
-    ``_pairwise_sum``, the parasite cube is NumPy's array ``**`` (which
-    rounds unlike scalar ``pow``), and the separation rows keep ``np.dot``
-    on 2-vectors (BLAS may fuse its multiply-add).
+    the oracle).  Three rules keep it so: the sums are NumPy's
+    ``np.add.reduce`` over arrays, the parasite cube is NumPy's array ``**``
+    (which rounds unlike scalar ``pow``), and the separation rows keep
+    ``np.dot`` on 2-vectors (BLAS may fuse its multiply-add).
 
     Constraint rows are ordered: induced-term surrogates (N), rate
     surrogates (K, SUAV by SUAV), speed balls (N), separations (pairs).
@@ -310,8 +266,6 @@ class _Subproblem:
         self.p = p = problem
         self.lay = lay = _Layout(problem) if layout is None else layout
         self.n = n = lay.n
-        self.n_zeta, self.n_var, self.n_con = lay.n_zeta, lay.n_var, lay.n_con
-        self.zeta_off, self.lb, self.w = lay.zeta_off, lay.lb, lay.w
         self.exp = np.asarray(expansion, dtype=float).reshape(n, 2)
         self.cur = problem.current_positions
         self.dt = dt = problem.dt
@@ -327,7 +281,6 @@ class _Subproblem:
         self.g_slope = lay.phi * LOG2E / (den * (den + lay.phi))
         self._row_curv = np.concatenate([self.g_slope, np.ones(n)])
         self.pair_e = self.exp[lay.pair_i] - self.exp[lay.pair_j]
-        pair_ee = [float(np.dot(e, e)) for e in self.pair_e]
         # derived scalars and vectors of the objective and the rows
         self.coef = p.queue_p * dt
         self.dt2, self.dt3 = dt ** 2, dt ** 3
@@ -351,14 +304,12 @@ class _Subproblem:
         g_exp, g_slope = self.g_exp.tolist(), self.g_slope.tolist()
         self._rates = [(o, ux, uy, ge, gs, gd) for (o, ux, uy), ge, gs, gd
                        in zip(lay.uds, g_exp, g_slope, self.g_d2exp.tolist())]
-        self._rate_jac = [(o, ux, uy, -gs)
-                          for (o, ux, uy), gs in zip(lay.uds, g_slope)]
         self._seps = [(i, j, e, float(np.dot(e, e)))
                       for (i, j), e in zip(lay.pair_pos, self.pair_e)]
         # Jacobian templates: raw, and scaled above the finite bound rows
-        jac = np.zeros((self.n_con, self.n_var))
+        jac = np.zeros((lay.n_con, lay.n_var))
         jac.flat[lay.const_idx] = np.concatenate([
-            self.f_lin.ravel(), np.full(self.n_zeta, -1.0),
+            self.f_lin.ravel(), np.full(lay.n_zeta, -1.0),
             (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
         self._jac_raw = jac
         self.scale = 1.0
@@ -377,17 +328,17 @@ class _Subproblem:
         n = self.n
         xs = x.tolist()
         q, xi, zeta = xs[:2 * n], xs[2 * n:3 * n], xs[3 * n:]
-        ratio = list(map(truediv, self.lay.w_list, zeta))
+        ratio = self.lay.w / x[3 * n:]
         total = 0.0
         for lo, hi in self.lay.segments:
-            total += _pairwise_sum(ratio, lo, hi)
+            total += float(np.add.reduce(ratio[lo:hi]))
         d = [(q[i] - cx, q[i + 1] - cy) for i, cx, cy in self.lay.cur_xy]
         ss = [dx * dx + dy * dy for dx, dy in d]
         blade, dt2, tip2, c2, c4, dt3, c1 = self._prop
-        total += _pairwise_sum([
+        total += float(np.add.reduce(np.array([
             coef * (blade * (s / dt2) / tip2 + c2 * v + c4 * cube / dt3 + c1)
             for coef, s, v, cube
-            in zip(self._coef, ss, xi, (np.sqrt(ss) ** 3).tolist())])
+            in zip(self._coef, ss, xi, (np.sqrt(ss) ** 3).tolist())])))
         # induced-term surrogates f_sur - c3/xi^2, rate surrogates
         # g_sur - zeta, speed balls (v_max dt)^2 - |d|^2 and separations
         # 2 e_exp.(q_i - q_j) - ||e_exp||^2 - d_min^2, each >= 0
@@ -422,7 +373,7 @@ class _Subproblem:
         # rows: -curvature * 2 (q_s - ref)
         c3x2 = self.c3x2
         jv = [a2 + c3x2 / v ** 3 for a2, v in zip(self._xi_exp2, xi)]
-        jv += [ns * (2.0 * e) for o, ux, uy, ns in self._rate_jac
+        jv += [-gs * (2.0 * e) for o, ux, uy, _, gs, _ in self._rates
                for e in (q[o] - ux, q[o + 1] - uy)]
         jv += [-1.0 * (2.0 * e) for dx, dy in d for e in (dx, dy)]
         return np.array(g) / self.scale, jv
@@ -450,10 +401,7 @@ class _Subproblem:
         return np.multiply(self.evaluate(x)[1], self.con_scale)
 
     def constraints_jac(self, x):
-        return self._kkt_jac(self.derivatives(x)[1])[:self.n_con]
-
-    def _constraints_raw(self, x):
-        return np.array(self.evaluate(x)[1])
+        return self._kkt_jac(self.derivatives(x)[1])[:self.lay.n_con]
 
     def _constraints_jac_raw(self, x):
         jac = self._jac_raw.copy()
@@ -468,7 +416,7 @@ class _Subproblem:
         return a
 
     def bounds(self):
-        return list(zip(self.lb, np.full(self.n_var, np.inf)))
+        return list(zip(self.lay.lb, np.full(self.lay.n_var, np.inf)))
 
     def clip_speed(self, x):
         """Project positions exactly onto the per-slot motion ball.
@@ -494,9 +442,10 @@ class _Subproblem:
         """Hessian of the raw (unscaled) objective."""
         q, xi, zeta = self.unpack(x)
         p = self.p
-        h = np.zeros((self.n_var, self.n_var))
-        zi = 3 * self.n + np.arange(self.n_zeta)
-        h[zi, zi] = 2.0 * self.w / zeta ** 3
+        lay = self.lay
+        h = np.zeros((lay.n_var, lay.n_var))
+        zi = 3 * self.n + np.arange(lay.n_zeta)
+        h[zi, zi] = 2.0 * lay.w / zeta ** 3
         d = q - self.cur
         dist = np.linalg.norm(d, axis=1)
         blade = self.coef * 6.0 * p.prop_c1 / (self.tip2 * self.dt2)
@@ -508,7 +457,7 @@ class _Subproblem:
             parasite = self.coef[m] * 3.0 * p.prop_c4 / self.dt3
             block[m] = block[m] + parasite[:, None] * (rm * _EYE2
                                                        + outer / rm)
-        h.flat[self.lay.block_idx] += block.ravel()
+        h.flat[lay.block_idx] += block.ravel()
         return h
 
     def lagrangian_hessian(self, x, rows, lam):
@@ -521,14 +470,15 @@ class _Subproblem:
         h = self.objective_hessian(x)
         rows = np.asarray(rows, dtype=int)
         lam = np.asarray(lam, dtype=float)
-        keep = (rows < 2 * self.n + self.n_zeta) & (lam != 0.0)
+        keep = (rows < 2 * self.n + self.lay.n_zeta) & (lam != 0.0)
         rows = rows[keep]
         s = lam[keep] * self.con_scale[rows]
         ind = rows < self.n                       # induced-term surrogates
         if ind.any():
             i = rows[ind]
             quart = np.array([xi[j] ** 4 for j in i])
-            np.add.at(h.reshape(-1), (2 * self.n + i) * (self.n_var + 1),
+            np.add.at(h.reshape(-1),
+                      (2 * self.n + i) * (self.lay.n_var + 1),
                       s[ind] * 6.0 * self.p.prop_c3 / quart)
         curved = ~ind                             # rate surrogates, speed
         if curved.any():
@@ -538,17 +488,14 @@ class _Subproblem:
                       (m[:, None] * _EYE2).ravel())
         return h
 
-    def _kkt_rows(self, x):
-        """Constraint rows plus finite variable bounds, as (matrix, values)."""
-        return self._kkt_system(x)[:2]
-
     def _kkt_system(self, x):
-        """(a, c, grad, f) at x: ``_kkt_rows`` plus the gradient and value
-        of the raw (unscaled) objective."""
+        """(a, c, grad, f) at x: the scaled constraint rows above the finite
+        variable bounds, as matrix and values, and the gradient and value of
+        the raw (unscaled) objective."""
         f, rows = self.evaluate(x)
         g, jv = self.derivatives(x)
         c = np.concatenate([np.multiply(rows, self.con_scale),
-                            x[2 * self.n:] - self.lb[2 * self.n:]])
+                            x[2 * self.n:] - self.lay.lb[2 * self.n:]])
         return self._kkt_jac(jv), c, g * self.scale, f * self.scale
 
     def kkt_polish(self, x, active_tol: float = 1e-5, max_rounds: int = 4):
@@ -560,6 +507,7 @@ class _Subproblem:
         input unchanged when no progress is possible.
         """
         x = np.asarray(x, dtype=float).copy()
+        nv = self.lay.n_var
         a, c, grad, _ = self._kkt_system(x)
         rn = 1.0 + np.linalg.norm(a, axis=1)
         work = np.flatnonzero(c / rn <= active_tol)
@@ -578,11 +526,11 @@ class _Subproblem:
                     break
                 h = self.lagrangian_hessian(x, work, lam)
                 k = len(work)
-                kkt = np.zeros((self.n_var + k, self.n_var + k))
-                kkt[:self.n_var, :self.n_var] = h
+                kkt = np.zeros((nv + k, nv + k))
+                kkt[:nv, :nv] = h
                 if k:
-                    kkt[:self.n_var, self.n_var:] = -a[work].T
-                    kkt[self.n_var:, :self.n_var] = a[work]
+                    kkt[:nv, nv:] = -a[work].T
+                    kkt[nv:, :nv] = a[work]
                 rhs = -res
                 try:
                     step = np.linalg.solve(kkt, rhs)
@@ -591,8 +539,8 @@ class _Subproblem:
                 # damp if the full step does not reduce the residual
                 improved = False
                 for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
-                    x_new = x + damp * step[:self.n_var]
-                    lam_new = lam + damp * step[self.n_var:]
+                    x_new = x + damp * step[:nv]
+                    lam_new = lam + damp * step[nv:]
                     a_new, c_new, grad_new, _ = self._kkt_system(x_new)
                     if np.linalg.norm(residual(a_new, c_new, grad_new,
                                                lam_new, work)) < err:
@@ -615,17 +563,19 @@ class _Subproblem:
 
     # -- KKT audit -----------------------------------------------------------
     def kkt_residual(self, x, active_tol: float = 1e-6):
-        """max of scaled stationarity / complementarity / feasibility.
+        """(residual, feasibility, objective) at x, from one evaluation.
 
-        Measured on the *raw* (unscaled) objective so the contract does not
-        move with the solver's normalization.  Multipliers are fit by
-        nonnegative least squares over the *active* rows only (slack
-        normalized by the row gradient norm), so complementary slackness
-        holds by construction up to ``active_tol``.
+        The residual is the max of scaled stationarity, complementarity and
+        feasibility, measured on the *raw* (unscaled) objective so the
+        contract does not move with the solver's normalization.  Multipliers
+        are fit by nonnegative least squares over the *active* rows only
+        (slack normalized by the row gradient norm), so complementary
+        slackness holds by construction up to ``active_tol``.  Feasibility
+        is the worst scaled row violation, and the objective is raw.
         """
         # variable lower bounds enter as extra constraint rows
         a, c, grad, f = self._kkt_system(x)
-        cons = c[:self.n_con]
+        cons = c[:self.lay.n_con]
         row_norm = 1.0 + np.linalg.norm(a, axis=1)
         active = c / row_norm <= active_tol
         lam = np.zeros(len(c))
@@ -635,7 +585,7 @@ class _Subproblem:
         comp = np.max(lam * np.abs(c)) \
             / (1.0 + abs(f))
         feas = max(0.0, -np.min(cons)) if len(cons) else 0.0
-        return float(max(stat, comp, feas))
+        return float(max(stat, comp, feas)), feas, f
 
 
 def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
@@ -651,8 +601,8 @@ def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     are written once, since the core leaves them alone.
     """
     lay = sub.lay
-    m, n = sub.n_con, sub.n_var
-    x = np.clip(x0, sub.lb, np.inf)
+    m, n = lay.n_con, lay.n_var
+    x = np.clip(x0, lay.lb, np.inf)
     acc = 1e-12                                 # ftol; scipy sets tol = 10 acc
     state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
              "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
@@ -665,7 +615,7 @@ def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     mult = np.zeros(m + 2 * n + 2)
     # the core marks infinite bounds with NaN
-    xl = np.where(np.isfinite(sub.lb), sub.lb, np.nan)
+    xl = np.where(np.isfinite(lay.lb), lay.lb, np.nan)
     xu = np.full(n, np.nan)
     jac = np.array(sub._kkt_a[:m], order="F")
     jac_f = jac.reshape(-1, order="F")          # a view, column-major
@@ -705,12 +655,11 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
     f0 = abs(sub.objective(x0))
 
     def audit(x):
-        """(score, x, KKT residual, feasibility) at the speed-clipped x; a
-        score of at most 1 meets the contract."""
+        """(score, x, KKT residual, feasibility, raw objective) at the
+        speed-clipped x; a score of at most 1 meets the contract."""
         x = sub.clip_speed(x)
-        kkt = sub.kkt_residual(x)
-        feas = -min(float(np.min(sub.constraints(x))), 0.0)
-        return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas
+        kkt, feas, f = sub.kkt_residual(x)
+        return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas, f
 
     # SLSQP stalls in flat directions (tiny position gradient under a huge
     # queue-weighted slack gradient); a trust region driven deep from the
@@ -742,18 +691,17 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
                 best = tier
             if tier[0] <= 1.0:
                 break
-    _, x, kkt, feas = best
+    _, x, kkt, feas, f = best
     if kkt > KKT_TOL or feas > FEAS_TOL:
         raise RuntimeError(
             f"convex subproblem failed its optimality contract "
             f"(KKT residual {kkt:.2e}, feasibility {feas:.2e})")
 
     q, xi, zeta = sub.unpack(x)
-    zetas = [zeta[sub.zeta_off[i]:sub.zeta_off[i + 1]]
-             for i in range(sub.n)]
+    off = sub.lay.zeta_off
+    zetas = [zeta[off[i]:off[i + 1]] for i in range(sub.n)]
     return SubproblemSolution(positions=q.copy(), xi=xi.copy(), zeta=zetas,
-                              objective=float(sub.objective(x) * sub.scale),
-                              kkt_residual=kkt)
+                              objective=float(f), kkt_residual=kkt)
 
 
 @dataclass
@@ -782,7 +730,7 @@ def run_stage2(problem: TrajectoryProblem) -> Stage2Result:
     for _ in range(problem.max_iters):
         sol = solve_convex_subproblem(problem, expansion, layout)
         expansion = sol.positions
-        true_values.append(true_objective(problem, sol.positions))
+        true_values.append(true_objective(problem, sol.positions, layout))
         if abs(sol.objective - g_prev) < problem.sca_tol:
             converged = True
             break

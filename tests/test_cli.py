@@ -88,6 +88,12 @@ def test_sweep_rejects_unknown_param():
         main(["sweep", "--param", "warp_factor", "--values", "1"])
 
 
+@pytest.mark.parametrize("field", ["deadline_range", "luav_position"])
+def test_sweep_rejects_tuple_valued_param(field):
+    with pytest.raises(SystemExit, match=field):
+        main(["sweep", "--param", field, "--values", "1"])
+
+
 def test_verify_runs_suites(capsys):
     rc = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out

@@ -43,8 +43,13 @@ def test_validate_rejects_bad_values():
 
 @pytest.mark.parametrize("value", [0, -3, 2.9, 50.0, True, "50"])
 def test_validate_rejects_bad_sca_max_iters(value):
-    with pytest.raises(ValueError, match="sca_max_iters"):
-        desk_profile(sca_max_iters=value)
+    """And every other integer field: counts must be >= 1, the seed >= 0."""
+    for name in ("num_uds", "num_suavs", "num_slots", "sca_max_iters",
+                 "seed"):
+        if name == "seed" and value == 0:
+            continue
+        with pytest.raises(ValueError, match=name):
+            desk_profile(**{name: value})
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

@@ -12,7 +12,7 @@ from scipy.optimize import minimize, nnls
 
 from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.trajectory import (LOG2E, XI_FLOOR, ZETA_FLOOR,
-                               TrajectoryProblem, _pairwise_sum, _Subproblem,
+                               TrajectoryProblem, _Layout, _Subproblem,
                                true_g, true_objective)
 from uavmec.verification import random_trajectory_problem
 
@@ -358,7 +358,8 @@ def probe_points(rng, sub):
     for _ in range(3):
         yield np.concatenate([
             (sub.exp + rng.uniform(-30.0, 30.0, sub.exp.shape)).ravel(),
-            rng.uniform(0.5, 5.0, sub.n), rng.uniform(0.1, 10.0, sub.n_zeta)])
+            rng.uniform(0.5, 5.0, sub.n),
+            rng.uniform(0.1, 10.0, sub.lay.n_zeta)])
 
 
 def test_kernels_equal_the_loop_forms_bit_for_bit():
@@ -366,15 +367,15 @@ def test_kernels_equal_the_loop_forms_bit_for_bit():
             "no_pairs": False, "segment_8": False}
     for rng, prob, exp_q in instances():
         sub, ref = _Subproblem(prob, exp_q), LoopSubproblem(prob, exp_q)
-        k_n = np.diff(sub.zeta_off)
+        k_n = np.diff(sub.lay.zeta_off)
         seen["n"].add(sub.n)
         seen["empty_suav"] |= bool((k_n == 0).any())
-        seen["no_zeta"] |= sub.n_zeta == 0
+        seen["no_zeta"] |= sub.lay.n_zeta == 0
         seen["no_pairs"] |= len(sub.pair_e) == 0
         seen["segment_8"] |= bool((k_n >= 8).any())
         assert np.array_equal(sub.con_scale, ref.con_scale)
         assert np.array_equal(sub.initial_point(), ref.initial_point())
-        assert np.array_equal(sub.lb, ref.lb)
+        assert np.array_equal(sub.lay.lb, ref.lb)
         for scale in (1.0, 37.5):
             sub.scale = ref.scale = scale
             for x in probe_points(rng, sub):
@@ -382,19 +383,23 @@ def test_kernels_equal_the_loop_forms_bit_for_bit():
                 f, c = sub.evaluate(x)
                 assert f == ref.objective(x)
                 assert np.array_equal(c, ref._constraints_raw(x))
+                # the audit's three values come from one evaluation
+                kkt, feas, obj = sub.kkt_residual(x)
+                assert kkt == ref.kkt_residual(x)
+                assert feas == -min(float(np.min(ref.constraints(x))), 0.0)
+                assert obj == ref.objective(x) * scale
                 g, jv = sub.derivatives(x)
                 assert np.array_equal(g, ref.gradient(x))
                 assert np.array_equal(
                     jv, ref._constraints_jac_raw(x).flat[sub.lay.var_idx])
-                for name in ("gradient", "_constraints_raw", "constraints",
+                for name in ("gradient", "constraints",
                              "_constraints_jac_raw", "constraints_jac",
                              "objective_hessian"):
                     assert np.array_equal(getattr(sub, name)(x),
                                           getattr(ref, name)(x)), name
-                a, c = sub._kkt_rows(x)
+                a, c = sub._kkt_system(x)[:2]
                 a_ref, c_ref = ref._kkt_rows(x)
                 assert np.array_equal(a, a_ref) and np.array_equal(c, c_ref)
-                assert sub.kkt_residual(x) == ref.kkt_residual(x)
                 n_rows = len(c)
                 for size in (1, n_rows // 2, n_rows):
                     rows = rng.permutation(n_rows)[:size]
@@ -404,25 +409,11 @@ def test_kernels_equal_the_loop_forms_bit_for_bit():
                         sub.lagrangian_hessian(x, rows, lam),
                         ref.lagrangian_hessian(x, rows, lam))
         pos = exp_q + rng.uniform(-20.0, 20.0, exp_q.shape)
-        assert true_objective(prob, pos) == loop_true_objective(prob, pos)
+        want = loop_true_objective(prob, pos)
+        assert true_objective(prob, pos) == want
+        assert true_objective(prob, pos, _Layout(prob)) == want
     assert seen == {"n": {1, 2, 3, 4}, "empty_suav": True, "no_zeta": True,
                     "no_pairs": True, "segment_8": True}
-
-
-def test_pairwise_sum_equals_numpy_add_reduce_bit_for_bit():
-    """Lengths 0-300 reach the 8-accumulator blocks and the halving past
-    128; signed zeros check the -0.0 start and the 0.0 identity."""
-    rng = np.random.default_rng(63)
-    for n in range(301):
-        for a in (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n),
-                  rng.uniform(0.0, 1e3, n),
-                  rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], n),
-                  np.full(n, -0.0)):
-            want = np.add.reduce(a).tobytes()
-            assert np.float64(_pairwise_sum(a.tolist())).tobytes() == want
-            lo = int(rng.integers(0, n + 1))
-            got = _pairwise_sum(a.tolist(), lo, n)
-            assert np.float64(got).tobytes() == np.add.reduce(a[lo:]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -93,8 +93,8 @@ def test_constraint_rows_equal_the_scalar_surrogates():
             sub = _Subproblem(prob, exp_q)
             q = exp_q + rng.uniform(-30.0, 30.0, cur.shape)
             xi = rng.uniform(0.5, 5.0, n_suavs)
-            zeta = rng.uniform(0.1, 10.0, sub.n_zeta)
-            rows = sub._constraints_raw(np.concatenate([q.ravel(), xi, zeta]))
+            zeta = rng.uniform(0.1, 10.0, sub.lay.n_zeta)
+            rows = sub.evaluate(np.concatenate([q.ravel(), xi, zeta]))[1]
             want = []
             for i in range(n_suavs):
                 v_exp = float(np.linalg.norm(exp_q[i] - cur[i])) / dt
@@ -106,7 +106,7 @@ def test_constraint_rows_equal_the_scalar_surrogates():
                     want.append(surrogate_g(q[i], exp_q[i],
                                             asg.ud_positions[j], asg.phi[j],
                                             prob.altitude)
-                                - zeta[sub.zeta_off[i] + j])
+                                - zeta[sub.lay.zeta_off[i] + j])
             for i in range(n_suavs):
                 want.append((prob.v_max * dt) ** 2
                             - float(np.sum((q[i] - cur[i]) ** 2)))
@@ -348,7 +348,7 @@ def test_expansion_point_feasible_but_not_stationary():
     sub = _Subproblem(prob, prob.current_positions.copy())
     x = sub.initial_point()
     assert float(np.min(sub.constraints(x))) >= -1e-12
-    assert sub.kkt_residual(x) > KKT_TOL
+    assert sub.kkt_residual(x)[0] > KKT_TOL
 
 
 # --- solver tiers ---
@@ -405,10 +405,10 @@ def test_slsqp_loop_equals_minimize_bit_for_bit():
                 prob = random_trajectory_problem(rng, n_suavs=n_suavs,
                                                  max_uds=max_uds)
                 sub = _Subproblem(prob, prob.current_positions)
-                k_n = np.diff(sub.zeta_off)
+                k_n = np.diff(sub.lay.zeta_off)
                 seen["n"].add(n_suavs)
                 seen["empty_suav"] |= bool((k_n == 0).any())
-                seen["no_zeta"] |= sub.n_zeta == 0
+                seen["no_zeta"] |= sub.lay.n_zeta == 0
                 seen["segment_8"] |= bool((k_n >= 8).any())
                 x0 = sub.initial_point()
                 for scale in (max(1.0, abs(sub.objective(x0))), 1.0):

@@ -7,7 +7,8 @@
 # Exports <rev> with `git archive` into a temporary directory, runs
 # `uavmec simulate --out` with one BLAS thread on that source and on the
 # working tree's, and compares the two output trees with `diff -r`:
-#   desk:  OJTRTA, EO, ERA, FLP and OCQ, seeds 0-9
+#   desk:  OJTRTA, EO, ERA, FLP and OCQ, seeds 0-9, with --trace, so the
+#          per-slot UD and SUAV positions (trajectory_*.csv) are compared too
 #   paper: FLP and ERA, seeds 0-4
 #   paper: OJTRTA, seed 0, 20 slots
 #   desk with binding deadlines (deadline_range (0.05, 0.15) s,
@@ -45,7 +46,7 @@ simulate() {   # <source tree> <output dir> <simulate arguments...>
 }
 
 run_all() {    # <source tree> <output dir>
-    simulate "$1" "$2/desk" --profile desk --approach all \
+    simulate "$1" "$2/desk" --profile desk --approach all --trace \
         --seeds 0 1 2 3 4 5 6 7 8 9
     simulate "$1" "$2/paper" --profile paper --approach FLP,ERA \
         --seeds 0 1 2 3 4
