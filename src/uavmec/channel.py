@@ -7,12 +7,13 @@ elevation-angle-dependent LoS probability
 
 each branch combining a Nakagami-m small-scale amplitude with a free-space
 path loss scaled by an excess-attenuation factor.  All functions broadcast
-over numpy arrays.
+over numpy arrays, and the module imports no SciPy.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.constants import speed_of_light
+
+SPEED_OF_LIGHT = 299792458.0   # m/s, exact by the SI definition of the metre
 
 
 def los_probability(distance, altitude, c1: float, c2: float):
@@ -52,7 +53,7 @@ def large_scale_loss(distance, frequency: float, attenuation):
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    loss = (4.0 * np.pi * d * frequency / speed_of_light) ** 2 * attenuation
+    loss = (4.0 * np.pi * d * frequency / SPEED_OF_LIGHT) ** 2 * attenuation
     return loss if loss.shape else float(loss)
 
 
@@ -88,7 +89,7 @@ def snr_numerator(p_los, amp_los, amp_nlos, tx_power, frequency,
     log2(1 + phi/(H^2 + ||q - q_m||^2)), which the trajectory stage relies on.
     """
     p = np.asarray(p_los, dtype=float)
-    factor = (4.0 * np.pi * frequency / speed_of_light) ** 2
+    factor = (4.0 * np.pi * frequency / SPEED_OF_LIGHT) ** 2
     branch = (p * np.asarray(amp_los) ** 2 / attenuation_los
               + (1.0 - p) * np.asarray(amp_nlos) ** 2 / attenuation_nlos)
     phi = np.asarray(tx_power) * branch / (factor * noise_power)

@@ -164,9 +164,12 @@ class ScenarioConfig:
                      "attenuation_nlos", "nakagami_los", "nakagami_nlos",
                      "mean_channel_power", "effective_capacitance",
                      "suav_energy_per_cycle", "suav_altitude",
-                     "luav_altitude"):
+                     "luav_altitude", "prop_speed4", "prop_tip_speed"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("prop_blade", "prop_induced", "prop_parasite"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("nakagami_los", "nakagami_nlos"):
             if getattr(self, name) < 0.5:   # Nakagami-m needs m >= 0.5
                 raise ValueError(f"{name} must be >= 0.5")

@@ -11,6 +11,8 @@ for the induced term) constrained by first-order tangent bounds taken at the
 previous iterate, yielding a small smooth convex program over all 2N
 positions jointly (the pairwise-separation constraint couples SUAVs).  The
 subproblem is solved with SLSQP plus an explicit KKT-residual audit.
+SciPy is imported inside the functions that call it, on the first solve,
+so a run that never moves a SUAV (FLP) never loads it.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, nnls, NonlinearConstraint
-from scipy.optimize._slsqplib import slsqp
 
 from .compute import induced_speed_term, propulsion_power
 
@@ -506,6 +506,7 @@ class _Subproblem:
         multiplier went negative, add rows the step violated).  Returns the
         input unchanged when no progress is possible.
         """
+        from scipy.optimize import nnls
         x = np.asarray(x, dtype=float).copy()
         nv = self.lay.n_var
         a, c, grad, _ = self._kkt_system(x)
@@ -573,6 +574,7 @@ class _Subproblem:
         slackness holds by construction up to ``active_tol``.  Feasibility
         is the worst scaled row violation, and the objective is raw.
         """
+        from scipy.optimize import nnls
         # variable lower bounds enter as extra constraint rows
         a, c, grad, f = self._kkt_system(x)
         cons = c[:self.lay.n_con]
@@ -588,6 +590,14 @@ class _Subproblem:
         return float(max(stat, comp, feas)), feas, f
 
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on its first call: a
+    module-level name that the benchmark's spans and tests can wrap or
+    replace while SciPy stays off ``uavmec``'s import path."""
+    from scipy.optimize import minimize
+    return minimize(fun, x0, **kwargs)
+
+
 def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     """SLSQP on ``sub`` from x0 (ftol 1e-12); returns its final x.
 
@@ -600,6 +610,7 @@ def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     ``sub.derivatives`` (mode -1) directly; the Jacobian's constant entries
     are written once, since the core leaves them alone.
     """
+    from scipy.optimize._slsqplib import slsqp
     lay = sub.lay
     m, n = lay.n_con, lay.n_var
     x = np.clip(x0, lay.lb, np.inf)
@@ -650,6 +661,7 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
     best tier if all fail.  ``layout`` is the slot's ``_Layout``, built
     here when not given.
     """
+    from scipy.optimize import NonlinearConstraint
     sub = _Subproblem(problem, expansion, layout)
     x0 = sub.initial_point()
     f0 = abs(sub.objective(x0))

@@ -14,6 +14,11 @@ def test_los_probability_increases_with_elevation():
     assert overhead == pytest.approx(1.0 / (1.0 + 10.0 * np.exp(-0.6 * 80.0)))
 
 
+def test_speed_of_light_is_scipys_exact_value():
+    from scipy.constants import speed_of_light
+    assert ch.SPEED_OF_LIGHT == speed_of_light
+
+
 def test_los_probability_rejects_bad_geometry():
     with pytest.raises(ValueError):
         ch.los_probability(50.0, 100.0, 10.0, 0.6)

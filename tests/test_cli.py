@@ -1,6 +1,11 @@
-"""Command-line entry points, exercised in-process via main(argv)."""
+"""Command-line entry points, exercised via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,29 @@ def test_simulate_multiple_approaches_and_seeds(tmp_path):
                      "slots_FLP_0.csv", "slots_FLP_1.csv"}
     doc = json.loads((out / "summary.json").read_text())
     assert len(doc["runs"]) == 4
+
+
+def test_flp_runs_without_loading_scipy(tmp_path):
+    """SciPy is loaded on the first placement solve, not by ``import
+    uavmec``: FLP never moves a SUAV, so it runs on NumPy alone."""
+    script = textwrap.dedent("""
+        import sys
+        from uavmec.cli import main
+        out = sys.argv[1]
+        assert main(["simulate", "--approach", "FLP", "--seeds", "0",
+                     "--slots", "2", "--out", out + "/flp"]) == 0
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        assert main(["simulate", "--approach", "OJTRTA", "--seeds", "0",
+                     "--slots", "2", "--out", out + "/ojtrta"]) == 0
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ojtrta" / "slots_OJTRTA_0.csv").exists()
 
 
 def test_simulate_trace_emits_trajectories(tmp_path):

@@ -54,8 +54,18 @@ def test_validate_rejects_bad_sca_max_iters(value):
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
 def test_validate_rejects_bad_sca_tolerance(value):
-    with pytest.raises(ValueError, match="sca_tolerance"):
-        desk_profile(sca_tolerance=value)
+    """And the propulsion coefficients: the hover induced speed (to the
+    4th power) and the tip speed must be positive, the three power
+    coefficients >= 0."""
+    names = ["sca_tolerance", "prop_speed4", "prop_tip_speed"]
+    if value == 0.0:
+        for name in ("prop_blade", "prop_induced", "prop_parasite"):
+            assert getattr(desk_profile(**{name: value}), name) == 0.0
+    else:
+        names += ["prop_blade", "prop_induced", "prop_parasite"]
+    for name in names:
+        with pytest.raises(ValueError, match=name):
+            desk_profile(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["nakagami_los", "nakagami_nlos"])
