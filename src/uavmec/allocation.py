@@ -3,7 +3,7 @@
 For one server with member set M_s, the slot cost decomposes into
 sum_m [ A_m / z_m + B_m / w_m ] with
     A_m = gamma_T * eta_m * D_m / F_s,
-    B_m = (gamma_T * D_m + gamma_E * p_m * D_m) / r_{s,m},
+    B_m = (gamma_T * D_m + gamma_E * p * D_m) / r_{s,m},
 so the optimal shares over each simplex are sqrt-proportional:
     z_m* = sqrt(A_m) / sum_i sqrt(A_i),   w_m* = sqrt(B_m) / sum_i sqrt(B_i).
 ``allocate`` evaluates that closed form; ``allocation_oracle`` minimizes the
@@ -50,7 +50,7 @@ def allocate(profile: np.ndarray, ctx) -> AllocationResult:
             continue
         d = ctx.data_bits[idx]
         a = ctx.gamma_time * ctx.cycles_per_bit[idx] * d
-        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power[idx] * d) \
+        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power * d) \
             / ctx.rates[s, idx]
         z[s, idx] = _closed_form_shares(a)
         w[s, idx] = _closed_form_shares(b)
@@ -146,7 +146,7 @@ def allocation_oracle(profile: np.ndarray, ctx,
         d = ctx.data_bits[idx]
         f_max = ctx.f_max[s]
         a = ctx.gamma_time * ctx.cycles_per_bit[idx] * d / f_max
-        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power[idx] * d) \
+        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power * d) \
             / ctx.rates[s, idx]
         z[s, idx] = _simplex_minimize(a, tol=tol)
         w[s, idx] = _simplex_minimize(b, tol=tol)
@@ -167,7 +167,7 @@ def share_objective(profile: np.ndarray, ctx, alloc: AllocationResult) -> float:
         idx = idx[live]
         d = d[live]
         a = ctx.gamma_time * ctx.cycles_per_bit[idx] * d / ctx.f_max[s]
-        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power[idx] * d) \
+        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power * d) \
             / ctx.rates[s, idx]
         total += np.sum(a / alloc.z[s, idx]) + np.sum(b / alloc.w[s, idx])
     return float(total)

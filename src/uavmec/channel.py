@@ -65,18 +65,15 @@ def composite_gain(p_los, amp_los, amp_nlos, loss_los, loss_nlos):
     return g if g.shape else float(g)
 
 
-def transmission_rate(w, bandwidth, tx_power, gain, noise_power):
-    """Shannon rate w * B * log2(1 + p*g/noise) in bits/s.
+def transmission_rate(bandwidth, tx_power, gain, noise_power):
+    """Full-band Shannon rate B * log2(1 + p*g/noise) in bits/s.
 
-    ``w`` is the bandwidth fraction allocated to the link (0 < w <= 1).
+    A UD's bandwidth share scales this rate when the slot is realized.
     """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("bandwidth share must be positive")
     if np.any(np.asarray(gain) < 0):
         raise ValueError("gain must be nonnegative")
     snr = np.asarray(tx_power) * np.asarray(gain) / noise_power
-    rate = w * bandwidth * np.log2(1.0 + snr)
+    rate = bandwidth * np.log2(1.0 + snr)
     return rate if rate.shape else float(rate)
 
 

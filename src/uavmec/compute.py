@@ -62,15 +62,17 @@ def induced_speed_term(v, c3):
 
 
 def slot_suav_energy(assigned_cycles, speed, config):
-    """(compute J, propulsion J) for one SUAV over one slot.
+    """(compute J, propulsion J) over one slot, per SUAV.
 
-    ``assigned_cycles`` is the total eta*D over tasks executed on this SUAV.
-    Raises when the implied speed exceeds the configured limit (an upstream
-    trajectory bug).
+    ``assigned_cycles`` is the total eta*D over tasks executed on a SUAV
+    and ``speed`` its speed: scalars for one SUAV, or (N,) arrays for the
+    fleet.  Raises, naming the first SUAV (0 for a scalar), when a speed
+    exceeds the configured limit (an upstream trajectory bug).
     """
-    if speed > config.suav_max_speed * (1.0 + 1e-9) + 1e-9:
-        raise ValueError(
-            f"SUAV speed {speed:.6f} m/s exceeds limit {config.suav_max_speed}")
+    for n, v in enumerate(np.atleast_1d(speed)):
+        if v > config.suav_max_speed * (1.0 + 1e-9) + 1e-9:
+            raise ValueError(f"SUAV {n} speed {v:.6f} m/s exceeds limit "
+                             f"{config.suav_max_speed}")
     e_c = config.suav_energy_per_cycle * assigned_cycles
     e_p = propulsion_power(speed, config.prop_blade, config.prop_induced,
                            config.prop_speed4, config.prop_parasite,

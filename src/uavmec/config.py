@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -167,7 +167,8 @@ class ScenarioConfig:
                      "luav_altitude", "prop_speed4", "prop_tip_speed"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("prop_blade", "prop_induced", "prop_parasite"):
+        for name in ("prop_blade", "prop_induced", "prop_parasite",
+                     "los_c1", "los_c2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("nakagami_los", "nakagami_nlos"):
@@ -223,15 +224,11 @@ class ScenarioConfig:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
+        """The fields as JSON-style values: tuples become lists."""
         d = asdict(self)
-        d["suav_initial_positions"] = [list(p)
-                                       for p in self.suav_initial_positions]
-        d["luav_position"] = list(self.luav_position)
-        d["mobility_mean_velocity"] = list(self.mobility_mean_velocity)
-        d["ud_compute_options"] = list(self.ud_compute_options)
-        for name in ("data_bits_range", "cycles_per_bit_range",
-                     "deadline_range"):
-            d[name] = list(getattr(self, name))
+        for name in _TUPLE_FIELDS:
+            d[name] = [list(x) if isinstance(x, tuple) else x
+                       for x in d[name]]
         return d
 
     def digest(self) -> str:
@@ -264,15 +261,18 @@ class ScenarioConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name in ("suav_initial_positions",):
+        for name, nested in _TUPLE_FIELDS.items():
             if name in data:
-                data[name] = tuple(tuple(map(float, p)) for p in data[name])
-        for name in ("luav_position", "mobility_mean_velocity",
-                     "data_bits_range", "cycles_per_bit_range",
-                     "deadline_range", "ud_compute_options"):
-            if name in data:
-                data[name] = tuple(float(x) for x in data[name])
+                data[name] = tuple(tuple(map(float, x)) if nested else float(x)
+                                   for x in data[name])
         return cls(**data)
+
+
+# tuple-valued fields, found from their tuple defaults, and whether their
+# entries are tuples themselves
+_TUPLE_FIELDS = {f.name: isinstance(f.default[0], tuple)
+                 for f in fields(ScenarioConfig)
+                 if isinstance(f.default, tuple)}
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -60,8 +60,6 @@ class SlotDecision:
     costs: np.ndarray
     suav_energy_c: np.ndarray
     suav_energy_p: np.ndarray
-    queue_c: np.ndarray          # snapshot used by the decisions (pre-update)
-    queue_p: np.ndarray
     dpp_value: float
     violations: list
     waived_violations: list      # deadline messages excused by EO's design
@@ -130,8 +128,8 @@ def _slot_channel(world: World):
                                     cfg.attenuation_nlos)
     gain = ch.composite_gain(p_los, amp_los, amp_nlos, loss_los, loss_nlos)
     bandwidth = _per_server(cfg, cfg.suav_bandwidth, cfg.luav_bandwidth)
-    rates = ch.transmission_rate(1.0, bandwidth[:, None], cfg.ud_tx_power,
-                                 gain, cfg.noise_power)
+    rates = ch.transmission_rate(bandwidth[:, None], cfg.ud_tx_power, gain,
+                                 cfg.noise_power)
     if cfg.expected_fading:
         amp_los = amp_nlos = np.full_like(slant,
                                           np.sqrt(cfg.mean_channel_power))
@@ -156,7 +154,7 @@ def build_game_context(world: World, queues: QueueState,
         rates=rates,
         f_max=_per_server(cfg, cfg.suav_compute, cfg.luav_compute),
         queue_weight=np.concatenate([qw_suav, [0.0]]),
-        tx_power=np.full(cfg.num_uds, cfg.ud_tx_power),
+        tx_power=cfg.ud_tx_power,
         gamma_time=cfg.gamma_time,
         gamma_energy=cfg.gamma_energy,
         capacitance=cfg.effective_capacitance,
@@ -168,16 +166,16 @@ def build_game_context(world: World, queues: QueueState,
 
 
 def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
-             rates: np.ndarray):
+             rates: np.ndarray, f_max: np.ndarray):
     """Per-UD delay/energy/cost under the slot's decisions.
 
     The formulas of ``compute``'s scalar functions, applied to the local
     UDs and to the offloaded UDs with data in the same operation order; a
-    zero-size offloaded task costs nothing.
+    zero-size offloaded task costs nothing.  ``f_max`` is the (S,) server
+    compute of the slot's game context.
     """
     cfg = world.config
     d, eta, tmax = world.task_arrays()
-    f_max = _per_server(cfg, cfg.suav_compute, cfg.luav_compute)
     delays = np.zeros(cfg.num_uds)
     energies = np.zeros(cfg.num_uds)
 
@@ -221,15 +219,14 @@ def run_slot(world: World, queues: QueueState,
     else:
         next_positions = serving.copy()
 
-    delays, energies, costs = _realize(world, profile, alloc, rates)
+    delays, energies, costs = _realize(world, profile, alloc, rates,
+                                       ctx.f_max)
 
     speeds = np.linalg.norm(next_positions - serving, axis=1) \
         / cfg.slot_duration
-    e_c = np.zeros(cfg.num_suavs)
-    e_p = np.zeros(cfg.num_suavs)
-    for n in range(cfg.num_suavs):
-        assigned = eta[profile == n] @ d[profile == n]
-        e_c[n], e_p[n] = cm.slot_suav_energy(assigned, speeds[n], cfg)
+    assigned = np.array([eta[profile == n] @ d[profile == n]
+                         for n in range(cfg.num_suavs)])
+    e_c, e_p = cm.slot_suav_energy(assigned, speeds, cfg)
 
     # EO's fallback offloads may miss deadlines by design; keep them apart
     violations, waived = audit_slot(
@@ -247,7 +244,6 @@ def run_slot(world: World, queues: QueueState,
         serving_positions=serving, next_positions=next_positions,
         delays=delays, ud_energies=energies, costs=costs,
         suav_energy_c=e_c, suav_energy_p=e_p,
-        queue_c=queues.q_c.copy(), queue_p=queues.q_p.copy(),
         dpp_value=dpp_objective(queues.q_c, queues.q_p, e_c, e_p,
                                 float(costs.sum()), cfg.lyapunov_v),
         violations=violations, waived_violations=waived,

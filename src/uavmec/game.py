@@ -43,6 +43,7 @@ class GameContext:
 
     ``rates`` holds full-band transmission rates, shape (S, M) with the LUAV
     last.  ``queue_weight`` is Q_n^c/V for SUAV rows and 0 for the LUAV.
+    ``tx_power`` is the one transmit power every UD uses.
 
     ``deadline``, ``allow_local``, ``uniform_shares`` and ``tiebreak_rng``
     are read live on every use, so they may be edited in place between
@@ -60,7 +61,7 @@ class GameContext:
     rates: np.ndarray
     f_max: np.ndarray
     queue_weight: np.ndarray
-    tx_power: np.ndarray
+    tx_power: float
     gamma_time: float
     gamma_energy: float
     capacitance: float

@@ -14,23 +14,18 @@ import numpy as np
 
 @dataclass
 class QueueState:
-    """Per-SUAV backlogs (J) plus the budgets they are charged against."""
+    """Per-SUAV backlogs (J) plus the budgets every SUAV is charged
+    against."""
     q_c: np.ndarray        # compute-energy queue
     q_p: np.ndarray        # propulsion-energy queue
-    budget_c: np.ndarray   # per-slot compute budget
-    budget_p: np.ndarray   # per-slot propulsion budget
+    budget_c: float        # per-slot compute budget
+    budget_p: float        # per-slot propulsion budget
 
 
 def init_queues(n_suavs: int, budget_c, budget_p) -> QueueState:
-    """Empty queues (the slot-1 state) with broadcastable budgets."""
-    return QueueState(
-        q_c=np.zeros(n_suavs),
-        q_p=np.zeros(n_suavs),
-        budget_c=np.broadcast_to(np.asarray(budget_c, dtype=float),
-                                 (n_suavs,)).copy(),
-        budget_p=np.broadcast_to(np.asarray(budget_p, dtype=float),
-                                 (n_suavs,)).copy(),
-    )
+    """Empty queues (the slot-1 state)."""
+    return QueueState(q_c=np.zeros(n_suavs), q_p=np.zeros(n_suavs),
+                      budget_c=float(budget_c), budget_p=float(budget_p))
 
 
 def update_queues(state: QueueState, e_c, e_p) -> QueueState:

@@ -27,6 +27,9 @@ from .compute import induced_speed_term, propulsion_power
 LOG2E = float(np.log2(np.e))
 KKT_TOL = 1e-6
 FEAS_TOL = 1e-8
+ACTIVE_TOL = 1e-6          # the audit's active rows: slack / row norm
+POLISH_ACTIVE_TOL = 1e-5   # kkt_polish's first working set
+POLISH_ROUNDS = 4          # kkt_polish's working-set repairs
 XI_FLOOR = 1e-2
 ZETA_FLOOR = 1e-9
 
@@ -166,7 +169,7 @@ def true_objective(problem: TrajectoryProblem, positions,
 class SubproblemSolution:
     positions: np.ndarray
     xi: np.ndarray
-    zeta: list
+    zeta: np.ndarray          # the rate slacks, SUAV by SUAV
     objective: float
     kkt_residual: float
 
@@ -245,7 +248,7 @@ class _Subproblem:
 
     Everything set by the expansion point is built once here, from the
     slot's ``_Layout``: the rate-surrogate coefficients of all UDs, the
-    pair vectors, the derived scalars and the Jacobian templates holding
+    pair vectors, the derived scalars and the Jacobian template holding
     the constant entries.  ``evaluate`` and ``derivatives`` are the one
     implementation of the objective, the constraint rows and their first
     derivatives, in Python floats; every other evaluation is a view of
@@ -306,17 +309,17 @@ class _Subproblem:
                        in zip(lay.uds, g_exp, g_slope, self.g_d2exp.tolist())]
         self._seps = [(i, j, e, float(np.dot(e, e)))
                       for (i, j), e in zip(lay.pair_pos, self.pair_e)]
-        # Jacobian templates: raw, and scaled above the finite bound rows
+        # the raw Jacobian at the start scales each row by its gradient
+        # norm, so the solver's feasibility precision is relative; scaled,
+        # it is the template above the finite bound rows, whose varying
+        # entries every use overwrites
         jac = np.zeros((lay.n_con, lay.n_var))
         jac.flat[lay.const_idx] = np.concatenate([
             self.f_lin.ravel(), np.full(lay.n_zeta, -1.0),
             (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
-        self._jac_raw = jac
         self.scale = 1.0
-        # normalize constraint rows by their gradient norm at the start so
-        # the solver's feasibility precision is relative, not absolute
-        raw = self._constraints_jac_raw(self.initial_point())
-        self.con_scale = 1.0 / (1.0 + np.linalg.norm(raw, axis=1))
+        jac.flat[lay.var_idx] = self.derivatives(self.initial_point())[1]
+        self.con_scale = 1.0 / (1.0 + np.linalg.norm(jac, axis=1))
         self._kkt_a = np.vstack([jac * self.con_scale[:, None],
                                  lay.bound_rows])
         self._var_scale = self.con_scale[lay.var_row]
@@ -402,11 +405,6 @@ class _Subproblem:
 
     def constraints_jac(self, x):
         return self._kkt_jac(self.derivatives(x)[1])[:self.lay.n_con]
-
-    def _constraints_jac_raw(self, x):
-        jac = self._jac_raw.copy()
-        jac.flat[self.lay.var_idx] = self.derivatives(x)[1]
-        return jac
 
     def _kkt_jac(self, jv):
         """Scaled constraint Jacobian above the finite variable-bound rows,
@@ -498,7 +496,7 @@ class _Subproblem:
                             x[2 * self.n:] - self.lay.lb[2 * self.n:]])
         return self._kkt_jac(jv), c, g * self.scale, f * self.scale
 
-    def kkt_polish(self, x, active_tol: float = 1e-5, max_rounds: int = 4):
+    def kkt_polish(self, x):
         """Newton iterations on the active-set KKT system.
 
         Sharpens any answer inside the quadratic basin to machine precision;
@@ -511,7 +509,7 @@ class _Subproblem:
         nv = self.lay.n_var
         a, c, grad, _ = self._kkt_system(x)
         rn = 1.0 + np.linalg.norm(a, axis=1)
-        work = np.flatnonzero(c / rn <= active_tol)
+        work = np.flatnonzero(c / rn <= POLISH_ACTIVE_TOL)
         lam, _ = nnls(a[work].T, grad) if len(work) else (np.zeros(0), 0.0)
 
         def residual(a, c, grad, lam, work):
@@ -519,7 +517,7 @@ class _Subproblem:
             return np.concatenate([stat, c[work]])
 
         # a, c and grad always belong to the current x
-        for _ in range(max_rounds):
+        for _ in range(POLISH_ROUNDS):
             for _ in range(30):
                 res = residual(a, c, grad, lam, work)
                 err = np.linalg.norm(res)
@@ -563,7 +561,7 @@ class _Subproblem:
         return x
 
     # -- KKT audit -----------------------------------------------------------
-    def kkt_residual(self, x, active_tol: float = 1e-6):
+    def kkt_residual(self, x):
         """(residual, feasibility, objective) at x, from one evaluation.
 
         The residual is the max of scaled stationarity, complementarity and
@@ -571,7 +569,7 @@ class _Subproblem:
         contract does not move with the solver's normalization.  Multipliers
         are fit by nonnegative least squares over the *active* rows only
         (slack normalized by the row gradient norm), so complementary
-        slackness holds by construction up to ``active_tol``.  Feasibility
+        slackness holds by construction up to ``ACTIVE_TOL``.  Feasibility
         is the worst scaled row violation, and the objective is raw.
         """
         from scipy.optimize import nnls
@@ -579,7 +577,7 @@ class _Subproblem:
         a, c, grad, f = self._kkt_system(x)
         cons = c[:self.lay.n_con]
         row_norm = 1.0 + np.linalg.norm(a, axis=1)
-        active = c / row_norm <= active_tol
+        active = c / row_norm <= ACTIVE_TOL
         lam = np.zeros(len(c))
         if np.any(active):
             lam[active], _ = nnls(a[active].T, grad)
@@ -661,7 +659,6 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
     best tier if all fail.  ``layout`` is the slot's ``_Layout``, built
     here when not given.
     """
-    from scipy.optimize import NonlinearConstraint
     sub = _Subproblem(problem, expansion, layout)
     x0 = sub.initial_point()
     f0 = abs(sub.objective(x0))
@@ -673,13 +670,6 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
         kkt, feas, f = sub.kkt_residual(x)
         return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas, f
 
-    # SLSQP stalls in flat directions (tiny position gradient under a huge
-    # queue-weighted slack gradient); a trust region driven deep from the
-    # exactly feasible expansion lands in the Newton basin
-    trust = {"method": "trust-constr",
-             "options": {"gtol": 1e-14, "xtol": 1e-14, "maxiter": 5000},
-             "constraints": NonlinearConstraint(sub.constraints, 0.0, np.inf,
-                                                jac=sub.constraints_jac)}
     best = None
     with warnings.catch_warnings():
         # scipy chatters about clipped probe points and flat quasi-Newton
@@ -692,8 +682,18 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
             if method == "SLSQP":
                 x = _slsqp(sub, x0)
             else:
+                # SLSQP stalls in flat directions (tiny position gradient
+                # under a huge queue-weighted slack gradient); a trust
+                # region driven deep from the exactly feasible expansion
+                # lands in the Newton basin
+                from scipy.optimize import NonlinearConstraint
                 x = minimize(sub.objective, x0, jac=sub.gradient,
-                             bounds=sub.bounds(), **trust).x
+                             method=method, bounds=sub.bounds(),
+                             constraints=NonlinearConstraint(
+                                 sub.constraints, 0.0, np.inf,
+                                 jac=sub.constraints_jac),
+                             options={"gtol": 1e-14, "xtol": 1e-14,
+                                      "maxiter": 5000}).x
             tier = audit(x)
             if tier[0] > 1.0:
                 polished = audit(sub.kkt_polish(tier[1]))
@@ -710,10 +710,9 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
             f"(KKT residual {kkt:.2e}, feasibility {feas:.2e})")
 
     q, xi, zeta = sub.unpack(x)
-    off = sub.lay.zeta_off
-    zetas = [zeta[off[i]:off[i + 1]] for i in range(sub.n)]
-    return SubproblemSolution(positions=q.copy(), xi=xi.copy(), zeta=zetas,
-                              objective=float(f), kkt_residual=kkt)
+    return SubproblemSolution(positions=q.copy(), xi=xi.copy(),
+                              zeta=zeta.copy(), objective=float(f),
+                              kkt_residual=kkt)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import allocate, allocation_oracle, share_objective
+from . import config
 from .compute import induced_speed_term, propulsion_power
 from .game import (GameContext, LOCAL, run_stage1, is_nash, poa_measure,
                    potential, utility)
@@ -27,8 +28,11 @@ from .trajectory import (SuavAssignment, TrajectoryProblem, run_stage2,
                          surrogate_f, surrogate_g, surrogate_h, true_f,
                          true_g, true_h)
 
-PROP = dict(prop_c1=79.86, prop_c2=21.99, prop_c3=263.85, prop_c4=0.00924,
-            tip_speed=120.0)
+PROP = dict(prop_c1=config.PROP_BLADE_POWER,
+            prop_c2=config.PROP_INDUCED_POWER,
+            prop_c3=config.PROP_INDUCED_SPEED4,
+            prop_c4=config.PROP_PARASITE_COEFF,
+            tip_speed=config.PROP_TIP_SPEED)
 
 
 @dataclass
@@ -66,7 +70,7 @@ def random_game_context(rng: np.random.Generator, m_max: int = 5,
         queue_weight=np.concatenate(
             [np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 4e-3, n)),
              [0.0]]),
-        tx_power=np.full(m, 0.1),
+        tx_power=0.1,
         gamma_time=0.7,
         gamma_energy=0.3,
         capacitance=1e-28,

@@ -15,7 +15,7 @@ def make_ctx(rng, n_servers=2, m_total=5):
         data_bits=d,
         cycles_per_bit=rng.uniform(500.0, 1500.0, size=m_total),
         rates=rng.uniform(1e6, 3e7, size=(n_servers, m_total)),
-        tx_power=np.full(m_total, 0.1),
+        tx_power=0.1,
         f_max=rng.uniform(1e10, 3e10, size=n_servers),
         gamma_time=0.7,
         gamma_energy=0.3,

@@ -57,14 +57,9 @@ def test_composite_gain_blends_the_two_branches():
 
 
 def test_transmission_rate_scales_linearly_with_share():
-    r1 = ch.transmission_rate(1.0, 5e6, 0.1, 1e-8, 1e-13)
-    r_half = ch.transmission_rate(0.5, 5e6, 0.1, 1e-8, 1e-13)
-    assert r_half == pytest.approx(r1 / 2)
-    assert ch.transmission_rate(1.0, 5e6, 0.1, 0.0, 1e-13) == 0.0
+    assert ch.transmission_rate(5e6, 0.1, 0.0, 1e-13) == 0.0
     with pytest.raises(ValueError):
-        ch.transmission_rate(0.0, 5e6, 0.1, 1e-8, 1e-13)
-    with pytest.raises(ValueError):
-        ch.transmission_rate(1.0, 5e6, 0.1, -1e-8, 1e-13)
+        ch.transmission_rate(5e6, 0.1, -1e-8, 1e-13)
 
 
 def test_snr_numerator_reproduces_the_rate():
@@ -80,7 +75,7 @@ def test_snr_numerator_reproduces_the_rate():
         gain = ch.composite_gain(p_los, amp_los, amp_nlos, loss_los,
                                  loss_nlos)
         noise = 1.58e-13
-        rate = ch.transmission_rate(1.0, 5e6, 0.1, gain, noise)
+        rate = ch.transmission_rate(5e6, 0.1, gain, noise)
         phi = ch.snr_numerator(p_los, amp_los, amp_nlos, 0.1, 2e9,
                                db(1.0), db(20.0), noise)
         assert rate == pytest.approx(

@@ -70,6 +70,15 @@ def test_slot_suav_energy_charges_compute_and_propulsion():
                             cfg.prop_tip_speed) * cfg.slot_duration)
     with pytest.raises(ValueError, match="exceeds limit"):
         cm.slot_suav_energy(0.0, cfg.suav_max_speed + 0.1, cfg)
+    # the fleet's arrays give each SUAV's scalar call, bit for bit
+    cycles = np.array([1.0e9, 3.7e8])
+    speeds = np.array([10.0, 17.3])
+    e_c, e_p = cm.slot_suav_energy(cycles, speeds, cfg)
+    for n in range(2):
+        assert (e_c[n], e_p[n]) == cm.slot_suav_energy(cycles[n], speeds[n],
+                                                       cfg)
+    with pytest.raises(ValueError, match="SUAV 1 speed"):
+        cm.slot_suav_energy(cycles, [10.0, cfg.suav_max_speed + 0.1], cfg)
 
 
 def test_ud_cost_is_the_weighted_sum():

@@ -56,13 +56,16 @@ def test_validate_rejects_bad_sca_max_iters(value):
 def test_validate_rejects_bad_sca_tolerance(value):
     """And the propulsion coefficients: the hover induced speed (to the
     4th power) and the tip speed must be positive, the three power
-    coefficients >= 0."""
+    coefficients >= 0.  So must the LoS constants (los_c1 = 0 is pure
+    LoS)."""
     names = ["sca_tolerance", "prop_speed4", "prop_tip_speed"]
+    at_least_zero = ("prop_blade", "prop_induced", "prop_parasite", "los_c1",
+                     "los_c2")
     if value == 0.0:
-        for name in ("prop_blade", "prop_induced", "prop_parasite"):
+        for name in at_least_zero:
             assert getattr(desk_profile(**{name: value}), name) == 0.0
     else:
-        names += ["prop_blade", "prop_induced", "prop_parasite"]
+        names += at_least_zero
     for name in names:
         with pytest.raises(ValueError, match=name):
             desk_profile(**{name: value})
@@ -99,6 +102,25 @@ def test_round_trip_and_digest_stability():
     assert again == cfg
     assert again.digest() == cfg.digest()
     assert desk_profile(seed=4).digest() != cfg.digest()
+    # through JSON, with every tuple-valued field off its default
+    off = desk_profile(
+        luav_position=(240.0, 260.0),
+        suav_initial_positions=((120.0, 130.0), (370.0, 380.0)),
+        mobility_mean_velocity=(0.5, -0.5), data_bits_range=(0.1e6, 0.9e6),
+        cycles_per_bit_range=(400.0, 1400.0), deadline_range=(0.5, 1.5),
+        ud_compute_options=(1e9, 3e9))
+    base = ScenarioConfig()
+    tuple_fields = [name for name in ScenarioConfig.__dataclass_fields__
+                    if isinstance(getattr(base, name), tuple)]
+    assert len(tuple_fields) == 7
+    assert all(getattr(off, name) != getattr(base, name)
+               for name in tuple_fields)
+    again = ScenarioConfig.from_dict(json.loads(json.dumps(off.to_dict())))
+    assert again == off and again.digest() == off.digest()
+    for name in tuple_fields:
+        value = getattr(again, name)
+        assert isinstance(value, tuple), name
+        assert all(isinstance(v, (tuple, float)) for v in value), name
 
 
 def test_load_config(tmp_path):

@@ -74,7 +74,7 @@ def test_slot_decision_dpp_recomputes():
     eb_c, eb_p = cfg.budget_split()
     queues = init_queues(cfg.num_suavs, eb_c, eb_p)
     decision, _ = run_slot(world, queues, APPROACHES["OJTRTA"])
-    expected = dpp_objective(decision.queue_c, decision.queue_p,
+    expected = dpp_objective(queues.q_c, queues.q_p,
                              decision.suav_energy_c, decision.suav_energy_p,
                              float(decision.costs.sum()), cfg.lyapunov_v)
     assert decision.dpp_value == pytest.approx(expected, rel=1e-12)
@@ -207,8 +207,9 @@ def test_eo_waives_the_misses_of_uds_left_on_a_fallback():
 def test_eo_miss_off_a_fallback_stays_a_violation(monkeypatch):
     realize = engine._realize
 
-    def late_ud_1(world, profile, alloc, rates):
-        delays, energies, costs = realize(world, profile, alloc, rates)
+    def late_ud_1(world, profile, alloc, rates, f_max):
+        delays, energies, costs = realize(world, profile, alloc, rates,
+                                          f_max)
         delays[1] += 10.0
         return delays, energies, costs
 
@@ -335,9 +336,10 @@ def test_realized_cost_matches_formulas():
                 world.tasks[m] = TaskSpec(0.0, task.cycles_per_bit,
                                           task.deadline)
             rates, _ = _slot_channel(world)
-            stage1 = run_stage1(build_game_context(world, queues, spec,
-                                                   rates))
-            got = _realize(world, stage1.profile, stage1.allocation, rates)
+            ctx = build_game_context(world, queues, spec, rates)
+            stage1 = run_stage1(ctx)
+            got = _realize(world, stage1.profile, stage1.allocation, rates,
+                           ctx.f_max)
             want = loop_realize(world, stage1.profile, stage1.allocation,
                                 rates)
             for g, w in zip(got, want):
@@ -361,17 +363,17 @@ def test_realize_rejects_a_zero_rate_or_compute_share():
     world = build_scenario(cfg)
     queues = init_queues(cfg.num_suavs, *cfg.budget_split())
     rates, _ = _slot_channel(world)
-    stage1 = run_stage1(build_game_context(world, queues,
-                                           APPROACHES["EO"], rates))
+    ctx = build_game_context(world, queues, APPROACHES["EO"], rates)
+    stage1 = run_stage1(ctx)
     profile, alloc = stage1.profile, stage1.allocation
     m = int(np.flatnonzero(world.task_arrays()[0] > 0)[0])
     for share in (alloc.w, alloc.z):
         saved = share[profile[m], m]
         share[profile[m], m] = 0.0
         with pytest.raises(ValueError, match="must be positive"):
-            _realize(world, profile, alloc, rates)
+            _realize(world, profile, alloc, rates, ctx.f_max)
         share[profile[m], m] = saved
-    _realize(world, profile, alloc, rates)
+    _realize(world, profile, alloc, rates, ctx.f_max)
 
 
 def _slot_channel_replay(world):

@@ -8,8 +8,7 @@ def test_init_queues_start_empty_with_broadcast_budgets():
     q = init_queues(3, 100.0, 150.0)
     np.testing.assert_array_equal(q.q_c, np.zeros(3))
     np.testing.assert_array_equal(q.q_p, np.zeros(3))
-    np.testing.assert_array_equal(q.budget_c, [100.0, 100.0, 100.0])
-    np.testing.assert_array_equal(q.budget_p, [150.0, 150.0, 150.0])
+    assert (q.budget_c, q.budget_p) == (100.0, 150.0)
 
 
 def test_update_is_the_clipped_recurrence():

@@ -27,7 +27,7 @@ def compositional_utility(m, s, profile, ctx):
         rate = alloc.w[s, m] * ctx.rates[s, m]
         f_alloc = alloc.z[s, m] * ctx.f_max[s]
         delay = cm.edge_delay(d, eta, rate, f_alloc)
-        energy = cm.edge_ud_energy(d, rate, ctx.tx_power[m])
+        energy = cm.edge_ud_energy(d, rate, ctx.tx_power)
         cost = cm.ud_cost(delay, energy, ctx.gamma_time, ctx.gamma_energy)
     return ctx.queue_weight[s] * ctx.edge_energy[m] + cost
 

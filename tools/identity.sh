@@ -13,6 +13,8 @@
 #   paper: OJTRTA, seed 0, 20 slots
 #   desk with binding deadlines (deadline_range (0.05, 0.15) s,
 #   data_bits_range (0, 1e6) bits): every approach, seeds 0-2
+#   desk: OJTRTA at lyapunov_v 50 and 5000, seeds 0-9, the other two V
+#         values that acceptance criterion 8 averages (V=500 is above)
 # Exits 0 when every file is identical, 1 on any difference, 2 on misuse.
 set -euo pipefail
 
@@ -29,6 +31,9 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
 # tight deadlines reach EO's waiver and the game's no-feasible-edge fallback
 echo '{"deadline_range": [0.05, 0.15], "data_bits_range": [0.0, 1e6]}' \
     > "$tmp/binding.json"
+for v in 50 5000; do
+    echo "{\"lyapunov_v\": $v.0}" > "$tmp/v$v.json"
+done
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -54,6 +59,10 @@ run_all() {    # <source tree> <output dir>
         --seeds 0 --slots 20
     simulate "$1" "$2/desk-binding" --profile desk --approach all \
         --config "$tmp/binding.json" --seeds 0 1 2
+    for v in 50 5000; do
+        simulate "$1" "$2/desk-v$v" --profile desk --approach OJTRTA \
+            --config "$tmp/v$v.json" --seeds 0 1 2 3 4 5 6 7 8 9
+    done
 }
 
 echo "running $1"
