@@ -153,6 +153,10 @@ class ScenarioConfig:
         if self.min_separation < 0:
             raise ValueError("min_separation must be >= 0")
         pos = np.asarray(self.suav_initial_positions, dtype=float)
+        for name, xy in (("suav_initial_positions", pos),
+                         ("luav_position", np.asarray(self.luav_position))):
+            if np.any((xy < 0) | (xy > [self.area_width, self.area_height])):
+                raise ValueError(f"{name} must lie in the service area")
         for i in range(self.num_suavs):
             for j in range(i + 1, self.num_suavs):
                 if np.linalg.norm(pos[i] - pos[j]) < self.min_separation:

@@ -130,28 +130,27 @@ class MemberSums:
 
     ``totals[s]`` holds sum(beta), sum(phi), sum(beta^2), sum(phi^2) and the
     summed edge energy over the members of server s, as a list of Python
-    floats; ``members[s]`` is their number.  Each row is rebuilt by the
-    same reduction as a fresh build,
-    ``(x[s] * (profile == s)).sum()``, so the sums after any sequence of
-    ``refresh`` calls equal a fresh build bit for bit, and no utility,
-    deadline test or tie depends on the order of earlier moves.
+    floats; ``members[s]`` is their number.  ``kept[s]`` holds the masked
+    product ``member_terms[s] * (profile == s)``, which ``move`` edits by
+    one column and re-reduces, so the sums after any sequence of moves
+    equal a fresh build bit for bit, and no utility, deadline test or tie
+    depends on the order of earlier moves.
     """
 
     def __init__(self, profile: np.ndarray, ctx: GameContext):
         self.ctx = ctx
-        self.totals = [None] * ctx.n_servers
-        self.members = [0] * ctx.n_servers
-        for s in range(ctx.n_servers):
-            self.refresh(profile, s)
+        onehot = np.asarray(profile) == np.arange(ctx.n_servers)[:, None]
+        self.kept = ctx.member_terms * onehot[:, None, :]
+        self.totals = self.kept.sum(axis=2).tolist()
+        self.members = onehot.sum(axis=1).tolist()
 
-    def refresh(self, profile: np.ndarray, s: int) -> None:
-        """Rebuild the sums of server ``s`` (no-op for LOCAL) from
-        ``profile``; O(M)."""
-        if s == LOCAL:
-            return
-        mask = profile == s
-        self.totals[s] = (self.ctx.member_terms[s] * mask).sum(axis=1).tolist()
-        self.members[s] = int(np.count_nonzero(mask))
+    def move(self, m: int, old: int, new: int) -> None:
+        """UD m leaves ``old`` for ``new``; either may be LOCAL."""
+        for s, mask, step in ((old, 0.0, -1), (new, 1.0, 1)):
+            if s != LOCAL:
+                self.kept[s, :, m] = self.ctx.member_terms[s, :, m] * mask
+                self.totals[s] = self.kept[s].sum(axis=1).tolist()
+                self.members[s] += step
 
     def server_potential(self, s: int) -> float:
         """Potential terms of server ``s`` in closed form:
@@ -190,7 +189,7 @@ def utility(m: int, strategy: int, profile: np.ndarray,
     return float(queue_term + ctx.beta[s, m] * sum_b + ctx.phi[s, m] * sum_p)
 
 
-@dataclass
+@dataclass(slots=True)
 class BestResponse:
     best: tuple            # all minimizers, ascending strategy order
     best_utility: float
@@ -289,7 +288,7 @@ def potential(profile: np.ndarray, ctx: GameContext) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class MoveRecord:
     ud: int
     old: int
@@ -318,27 +317,30 @@ def run_stage1(ctx: GameContext,
     has become deadline-infeasible, in which case the move is forced.  Ties
     among new best strategies are broken with the context RNG.
 
-    The member sums are built once and each accepted move refreshes the two
-    servers it touches.  For the optimal-share game the potential must
-    strictly decrease at each non-forced move (checked; a violation means
-    the utility algebra is broken) and sweeps must reach a fixed point
-    within the cap.  The check compares the closed-form potential terms of
-    the two touched servers, plus the mover's local cost, before and after
-    the move: it is derived from the potential's definition, not from the
-    utilities, and costs O(1); ``MoveRecord.delta_potential`` records that
-    difference.  The uniform-share variant has no such guarantee, so
-    hitting the cap there just returns the current profile flagged
-    unconverged.
+    The member sums are built once and each accepted move updates the two
+    servers it touches.  A UD that stayed, with no move since, is not priced
+    again: its response would be the same stay, which draws no tie-break.
+    For the optimal-share game the potential must strictly decrease at each
+    non-forced move (checked; a violation means the utility algebra is
+    broken) and sweeps must reach a fixed point within the cap.  The check
+    compares the closed-form potential terms of the two touched servers,
+    plus the mover's local cost, before and after the move: it is derived
+    from the potential's definition, not from the utilities, and costs
+    O(1); ``MoveRecord.delta_potential`` records that difference.  The
+    uniform-share variant has no such guarantee, so hitting the cap there
+    just returns the current profile flagged unconverged.
 
     ``deadline_fallbacks`` lists the UDs whose best response in the last
     sweep was a fallback (no feasible edge and local disallowed), with the
-    server each ends on.  A converged last sweep moves no UD, so these are
-    exactly the UDs that have no feasible edge in the final profile.
+    server each ends on (a skipped stay keeps its last flag).  A converged
+    last sweep moves no UD, so these are exactly the UDs that have no
+    feasible edge in the final profile.
     """
     m_total = ctx.n_uds
-    profile = (np.full(m_total, LOCAL, dtype=int) if initial is None
-               else np.asarray(initial, dtype=int).copy())
-    sums = MemberSums(profile, ctx)
+    strategy = ([LOCAL] * m_total if initial is None
+                else np.asarray(initial, dtype=int).tolist())
+    sums = MemberSums(strategy, ctx)
+    last = [(-1, None)] * m_total   # per UD: move count, best response
     moves: list[MoveRecord] = []
     max_sweeps = 10 * m_total + 10
     converged = False
@@ -348,8 +350,11 @@ def run_stage1(ctx: GameContext,
         changed = False
         fallbacks: list[tuple[int, int]] = []
         for m in range(m_total):
-            br = best_response(m, profile, ctx, sums)
-            cur = int(profile[m])
+            cur = strategy[m]
+            seen, br = last[m]
+            if seen != len(moves):    # else m stayed and nothing has moved
+                br = best_response(m, strategy, ctx, sums)
+                last[m] = (len(moves), br)
             if cur in br.best:
                 if br.fallback:
                     fallbacks.append((m, cur))
@@ -364,9 +369,8 @@ def run_stage1(ctx: GameContext,
             dphi = None
             if track_potential:
                 before = sums.move_potential(m, cur, (cur, target))
-            profile[m] = target
-            sums.refresh(profile, cur)
-            sums.refresh(profile, target)
+            strategy[m] = target
+            sums.move(m, cur, target)
             if track_potential:
                 dphi = sums.move_potential(m, target, (cur, target)) - before
                 if not forced and not dphi < 0.0:
@@ -381,6 +385,7 @@ def run_stage1(ctx: GameContext,
             converged = True
             break
 
+    profile = np.array(strategy, dtype=int)
     if not converged and not ctx.uniform_shares:
         raise RuntimeError(
             "FIP violation: best-response sweeps exceeded the cap; "

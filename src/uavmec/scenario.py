@@ -74,15 +74,16 @@ def build_scenario(config: ScenarioConfig) -> World:
         fading_rng=fading,
         tiebreak_rng=tie,
     )
-    world.tasks = [sample_task(config, task) for _ in range(m)]
+    resample_tasks(world)
     return world
 
 
-def sample_task(config: ScenarioConfig, rng: np.random.Generator) -> TaskSpec:
-    d = rng.uniform(*config.data_bits_range)
-    eta = rng.uniform(*config.cycles_per_bit_range)
-    tmax = rng.uniform(*config.deadline_range)
-    return TaskSpec(data_bits=d, cycles_per_bit=eta, deadline=tmax)
+def draw_tasks(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """One task per UD as rows (d, eta, Tmax), shape (M, 3): the doubles
+    per-UD ``rng.uniform`` calls would draw, in the same stream order."""
+    lo, hi = np.array([config.data_bits_range, config.cycles_per_bit_range,
+                       config.deadline_range], dtype=float).T
+    return lo + (hi - lo) * rng.random((config.num_uds, 3))
 
 
 def step_mobility(world: World) -> None:
@@ -116,5 +117,5 @@ def step_mobility(world: World) -> None:
 
 def resample_tasks(world: World) -> None:
     """Draw the next slot's task for every UD (one task per UD per slot)."""
-    world.tasks = [sample_task(world.config, world.task_rng)
-                   for _ in range(world.config.num_uds)]
+    world.tasks = [TaskSpec(*row) for row in
+                   draw_tasks(world.config, world.task_rng).tolist()]

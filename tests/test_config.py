@@ -35,10 +35,28 @@ def test_validate_rejects_bad_values():
         desk_profile(num_uds=0)
     with pytest.raises(ValueError):
         desk_profile(gamma_time=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one initial position per SUAV"):
         desk_profile(suav_initial_positions=((0.0, 0.0),))
     with pytest.raises(ValueError, match="min_separation"):
         desk_profile(suav_initial_positions=((0.0, 0.0), (1.0, 0.0)))
+
+
+def test_validate_keeps_positions_in_the_service_area():
+    """The closed area [0, 500] x [0, 500] of the desk profile bounds the
+    SUAVs' initial positions and the LUAV's position."""
+    desk_profile(num_suavs=1, suav_initial_positions=((0.0, 0.0),))
+    desk_profile(suav_initial_positions=((0.0, 500.0), (500.0, 0.0)),
+                 luav_position=(500.0, 500.0))
+    desk_profile(luav_position=(0.0, 0.0))
+    above = float(np.nextafter(500.0, np.inf))
+    for x, y in ((-900.0, 125.0), (-1e-9, 125.0), (125.0, -1e-9),
+                 (above, 125.0), (125.0, above)):
+        with pytest.raises(ValueError, match="suav_initial_positions"):
+            desk_profile(suav_initial_positions=((x, y), (375.0, 375.0)))
+        with pytest.raises(ValueError, match="luav_position"):
+            desk_profile(luav_position=(x, y))
+    with pytest.raises(ValueError, match="luav_position"):
+        desk_profile(luav_position=(-2000.0, 250.0))
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.9, 50.0, True, "50"])

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+from uavmec import game
 from uavmec.config import paper_profile
 from uavmec.engine import APPROACHES, _slot_channel, build_game_context
 from uavmec.game import (DEADLINE_SLACK, LOCAL, BestResponse, MemberSums,
@@ -268,9 +269,51 @@ def test_stage1_matches_the_rebuild_loop_at_the_paper_shape():
     assert n_moves > 3000 and n_forced > 500
 
 
+def test_stage1_prices_a_stay_only_after_a_move(monkeypatch):
+    """A UD that stayed, with no move since, is not priced again.  On paper
+    slots (FLP, and EO at binding deadlines, where skipped UDs carry a
+    fallback) fewer best responses run than sweeps x M, and stage 1 still
+    matches the rebuild loop, which prices every UD on every sweep."""
+    priced = []
+
+    def counted(m, *args):
+        priced.append(m)
+        return best_response(m, *args)
+
+    monkeypatch.setattr(game, "best_response", counted)
+    binding = dict(deadline_range=(0.05, 0.15), data_bits_range=(0.0, 1e6))
+    skipped_fallbacks = 0
+    for approach, overrides in (("FLP", {}), ("EO", binding)):
+        world = build_scenario(paper_profile(seed=0, **overrides))
+        cfg = world.config
+        queues = init_queues(cfg.num_suavs, *cfg.budget_split())
+        queues.q_c = np.random.default_rng(0).uniform(
+            0.0, 3.0, cfg.num_suavs) * queues.budget_c
+        rates, _ = _slot_channel(world)
+        ctx = build_game_context(world, queues, APPROACHES[approach], rates)
+        priced.clear()
+        ctx.tiebreak_rng = np.random.default_rng(0)
+        result = run_stage1(ctx)
+        assert len(priced) < result.sweeps * ctx.n_uds
+        # UDs visit in ascending order, and every sweep after the first
+        # prices the last mover of the one before, so a sweep starts
+        # where the UD index fails to rise
+        starts = [i for i in range(1, len(priced))
+                  if priced[i] <= priced[i - 1]]
+        assert len(starts) == result.sweeps - 1
+        last_sweep = set(priced[starts[-1]:])
+        skipped_fallbacks += sum(m not in last_sweep
+                                 for m, _ in result.deadline_fallbacks)
+        assert_stage1_matches_the_rebuild_loop(ctx, 0)
+    assert skipped_fallbacks > 0
+
+
 def test_kept_sums_equal_a_fresh_build_after_random_moves():
+    """``move`` between any two strategies, LOCAL included, leaves the sums
+    of a fresh build."""
     rng = np.random.default_rng(22)
     checked = 0
+    local_moves = [0, 0]          # moves from LOCAL, moves to LOCAL
     for ctx in game_variants(rng):
         profile = random_profile(ctx, rng)
         sums = MemberSums(profile, ctx)
@@ -281,12 +324,17 @@ def test_kept_sums_equal_a_fresh_build_after_random_moves():
             before = profile.copy()
             phi_before = sums.move_potential(m, cur, (cur, new))
             profile[m] = new
-            sums.refresh(profile, cur)
-            sums.refresh(profile, new)
+            sums.move(m, cur, new)
+            local_moves[0] += cur == LOCAL != new
+            local_moves[1] += new == LOCAL != cur
             fresh = MemberSums(profile, ctx)
             assert sums.totals == fresh.totals
             assert sums.members == fresh.members
             onehot = profile == np.arange(ctx.n_servers)[:, None]
+            # each row as the masked reduction of one server alone
+            assert sums.totals == [
+                (ctx.member_terms[s] * onehot[s]).sum(axis=1).tolist()
+                for s in range(ctx.n_servers)]
             assert np.array_equal(
                 sums.totals, (ctx.member_terms * onehot[:, None]).sum(axis=2))
             assert sums.members == onehot.sum(axis=1).tolist()
@@ -297,7 +345,7 @@ def test_kept_sums_equal_a_fresh_build_after_random_moves():
             assert abs(dphi - (full[1] - full[0])) \
                 <= DPHI_RTOL * max(map(abs, full))
             checked += 1
-    assert checked > 1000
+    assert checked > 1000 and min(local_moves) > 100
 
 
 class LastOfTies:

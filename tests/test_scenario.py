@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from uavmec.config import desk_profile
-from uavmec.scenario import build_scenario, resample_tasks, step_mobility
+from uavmec.config import desk_profile, paper_profile
+from uavmec.scenario import (build_scenario, draw_tasks, resample_tasks,
+                             step_mobility)
 
 
 def test_build_places_everything_inside_the_area():
@@ -53,6 +55,29 @@ def test_task_samples_respect_configured_ranges():
         assert np.all((tmax >= cfg.deadline_range[0])
                       & (tmax <= cfg.deadline_range[1]))
     assert set(world.ud_compute) <= set(cfg.ud_compute_options)
+
+
+def uniform_loop(cfg, rng):
+    """The per-UD scalar draws ``draw_tasks`` replaces: d, eta, Tmax."""
+    return np.array([[rng.uniform(*cfg.data_bits_range),
+                      rng.uniform(*cfg.cycles_per_bit_range),
+                      rng.uniform(*cfg.deadline_range)]
+                     for _ in range(cfg.num_uds)])
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_profile(), paper_profile(),   # both with a zero-width deadline range
+    desk_profile(data_bits_range=(0.0, 1e6)),
+    desk_profile(cycles_per_bit_range=(700.0, 700.0)),
+], ids=["desk", "paper", "data-from-zero", "equal-bounds"])
+def test_draw_tasks_equals_per_ud_uniform_draws(cfg):
+    for seed in range(5):
+        block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            drawn = draw_tasks(cfg, block)
+            assert drawn.shape == (cfg.num_uds, 3)
+            assert drawn.tobytes() == uniform_loop(cfg, loop).tobytes()
+        assert block.random() == loop.random()
 
 
 def test_mobility_first_step_uses_previous_velocity():

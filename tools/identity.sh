@@ -13,6 +13,8 @@
 #   paper: OJTRTA, seed 0, 20 slots
 #   desk with binding deadlines (deadline_range (0.05, 0.15) s,
 #   data_bits_range (0, 1e6) bits): every approach, seeds 0-2
+#   paper with the same binding deadlines: EO and ERA, seeds 0-1, 20 slots,
+#          so stage 1's deadline fallbacks are compared at M = 60 too
 #   desk: OJTRTA at lyapunov_v 50 and 5000, seeds 0-9, the other two V
 #         values that acceptance criterion 8 averages (V=500 is above)
 # Exits 0 when every file is identical, 1 on any difference, 2 on misuse.
@@ -59,6 +61,8 @@ run_all() {    # <source tree> <output dir>
         --seeds 0 --slots 20
     simulate "$1" "$2/desk-binding" --profile desk --approach all \
         --config "$tmp/binding.json" --seeds 0 1 2
+    simulate "$1" "$2/paper-binding" --profile paper --approach EO,ERA \
+        --config "$tmp/binding.json" --seeds 0 1 --slots 20
     for v in 50 5000; do
         simulate "$1" "$2/desk-v$v" --profile desk --approach OJTRTA \
             --config "$tmp/v$v.json" --seeds 0 1 2 3 4 5 6 7 8 9
