@@ -18,7 +18,15 @@ def _build_config(args) -> ScenarioConfig:
             overrides = json.load(fh)
     if args.slots is not None:
         overrides["num_slots"] = args.slots
-    return PROFILES[args.profile](**overrides)
+    return _checked(PROFILES[args.profile], **overrides)
+
+
+def _checked(make, *args, **kwargs) -> ScenarioConfig:
+    """``make(...)``, with an invalid configuration reported as an exit."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from None
 
 
 def _approach_list(spec: str):
@@ -97,7 +105,8 @@ def cmd_sweep(args) -> int:
     for value in args.values:
         if type(getattr(base, field)) is int and value.is_integer():
             value = int(value)   # --values parses floats
-        config = ScenarioConfig.from_dict({**base.to_dict(), field: value})
+        config = _checked(ScenarioConfig.from_dict,
+                          {**base.to_dict(), field: value})
         results = _run_batch(config, approaches, seeds)
         print(f"--- {field} = {value:g} ---")
         _report(results)

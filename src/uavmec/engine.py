@@ -107,13 +107,10 @@ def _slot_channel(world: World):
     The fading stream is consumed identically regardless of approach.
     """
     cfg = world.config
-    horiz_suav = np.linalg.norm(
-        world.suav_positions[:, None, :] - world.ud_positions[None, :, :],
-        axis=2)
-    horiz_luav = np.linalg.norm(world.ud_positions - world.luav_position,
-                                axis=1)
+    servers = np.vstack([world.suav_positions, cfg.luav_position])
+    horiz = np.linalg.norm(
+        servers[:, None, :] - world.ud_positions[None, :, :], axis=2)
     alt = _per_server(cfg, cfg.suav_altitude, cfg.luav_altitude)
-    horiz = np.vstack([horiz_suav, horiz_luav[None, :]])
     slant = np.sqrt(alt[:, None] ** 2 + horiz ** 2)
 
     p_los = ch.los_probability(slant, alt[:, None], cfg.los_c1, cfg.los_c2)

@@ -6,18 +6,15 @@ perturbs the others and runs are reproducible per (config, seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig
 
-
-@dataclass
-class TaskSpec:
-    data_bits: float
-    cycles_per_bit: float
-    deadline: float
+# one task per UD: the fields of a ``World.tasks`` record
+TASK = np.dtype([("data_bits", float), ("cycles_per_bit", float),
+                 ("deadline", float)])
 
 
 @dataclass
@@ -27,8 +24,7 @@ class World:
     ud_velocities: np.ndarray      # (M, 2) m/s
     ud_compute: np.ndarray         # (M,) cycles/s, fixed at build
     suav_positions: np.ndarray     # (N, 2) m
-    luav_position: np.ndarray      # (2,) m
-    tasks: list[TaskSpec] = field(default_factory=list)
+    tasks: np.recarray = None      # (M,) records of TASK
     slot: int = 1
     mobility_rng: np.random.Generator = None
     task_rng: np.random.Generator = None
@@ -36,11 +32,9 @@ class World:
     tiebreak_rng: np.random.Generator = None
 
     def task_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(data_bits, cycles_per_bit, deadline) as (M,) arrays."""
-        d = np.array([t.data_bits for t in self.tasks])
-        eta = np.array([t.cycles_per_bit for t in self.tasks])
-        tmax = np.array([t.deadline for t in self.tasks])
-        return d, eta, tmax
+        """(data_bits, cycles_per_bit, deadline) as (M,) views of ``tasks``."""
+        t = self.tasks
+        return t["data_bits"], t["cycles_per_bit"], t["deadline"]
 
 
 def _streams(seed: int):
@@ -68,7 +62,6 @@ def build_scenario(config: ScenarioConfig) -> World:
         ud_velocities=vel,
         ud_compute=f_ud,
         suav_positions=np.asarray(config.suav_initial_positions, dtype=float).copy(),
-        luav_position=np.asarray(config.luav_position, dtype=float),
         mobility_rng=mob,
         task_rng=task,
         fading_rng=fading,
@@ -117,5 +110,5 @@ def step_mobility(world: World) -> None:
 
 def resample_tasks(world: World) -> None:
     """Draw the next slot's task for every UD (one task per UD per slot)."""
-    world.tasks = [TaskSpec(*row) for row in
-                   draw_tasks(world.config, world.task_rng).tolist()]
+    block = draw_tasks(world.config, world.task_rng)
+    world.tasks = block.view(TASK).view(np.recarray)[:, 0]

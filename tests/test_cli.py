@@ -87,6 +87,31 @@ def test_unknown_approach_exits():
         main(["simulate", "--approach", "BOGUS", "--slots", "2"])
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--slots", "0"], "num_slots"),
+    (["simulate", "--config", "{cfg}"], "warp_factor"),
+    (["sweep", "--param", "lyapunov_v", "--values", "-5", "--slots", "2"],
+     "lyapunov_v"),
+], ids=["zero-slots", "unknown-key", "negative-v"])
+def test_invalid_configuration_exits_naming_the_field(tmp_path, argv, field):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"warp_factor": 9}))
+    argv = [a.format(cfg=cfg_file) for a in argv]
+    with pytest.raises(SystemExit, match=f"invalid configuration: .*{field}"):
+        main(argv)
+
+
+def test_value_error_inside_a_run_still_propagates(monkeypatch):
+    import uavmec.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    with pytest.raises(ValueError, match="boom"):
+        main(["simulate", "--slots", "2"])
+
+
 def test_sweep_writes_points(tmp_path):
     out = tmp_path / "sw"
     rc = main(["sweep", "--param", "V", "--values", "50", "5000",
@@ -106,7 +131,7 @@ def test_sweep_passes_integer_fields_as_integers(tmp_path):
     assert rc == 0
     doc = json.loads((out / "sweep.json").read_text())
     assert [p["value"] for p in doc["points"]] == [1, 3]
-    with pytest.raises(ValueError, match="sca_max_iters"):
+    with pytest.raises(SystemExit, match="sca_max_iters"):
         main(["sweep", "--param", "sca_max_iters", "--values", "2.5",
               "--seeds", "0", "--slots", "2"])
 

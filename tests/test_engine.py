@@ -1,6 +1,7 @@
 """Slot loop: approach switches, metric folding, persistence round-trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ import pytest
 from uavmec import compute as cm
 from uavmec import engine
 from uavmec.config import desk_profile, paper_profile
-from uavmec.engine import (APPROACHES, SlotDecision, _realize, _slot_channel,
-                           build_game_context,
+from uavmec.engine import (APPROACH_IDS, APPROACHES, SlotDecision, _realize,
+                           _slot_channel, build_game_context,
                            run_simulation, run_slot)
 from uavmec.game import LOCAL, run_stage1
 from uavmec.lyapunov import dpp_objective, init_queues
 from uavmec.results import (read_summary, slot_header, write_slot_csv,
                             write_summary_json, write_trajectory_csv)
-from uavmec.scenario import (TaskSpec, build_scenario, resample_tasks,
-                             step_mobility)
+from uavmec.scenario import build_scenario, resample_tasks, step_mobility
 
 
 def tiny_config(**overrides):
@@ -154,7 +154,7 @@ def test_slot_channel_rate_phi_identity():
     want = cfg.suav_bandwidth * np.log2(1.0 + phi[:cfg.num_suavs] / slant2)
     assert np.allclose(rates[:cfg.num_suavs], want, rtol=1e-12)
     luav_slant2 = (cfg.luav_altitude ** 2
-                   + np.linalg.norm(world.ud_positions - world.luav_position,
+                   + np.linalg.norm(world.ud_positions - cfg.luav_position,
                                     axis=1) ** 2)
     want_luav = cfg.luav_bandwidth * np.log2(1.0 + phi[-1] / luav_slant2)
     assert np.allclose(rates[-1], want_luav, rtol=1e-12)
@@ -242,6 +242,41 @@ def test_eo_audits_clean_on_random_small_configs():
         assert res.violations == [], cfg
         waived += bool(res.waived_violations)
     assert waived > 50
+
+
+FOUR_SITES = SUAV_SITES + ((375.0, 125.0),)   # 250 m apart
+
+
+def test_every_approach_completes_or_fails_loudly_on_random_small_configs():
+    """Small runs of all five approaches over random fleets, deadlines,
+    task sizes from 0, SUAV speeds, separations up to the site spacing, V
+    and budgets just above the propulsion share: each run audits clean
+    (only waived misses) or stops on stage 2's optimality contract."""
+    rng = np.random.default_rng(31)
+    prop = desk_profile().budget_split()[1]
+    clean = 0
+    for i in range(300):
+        n = int(rng.integers(1, 5))
+        lo, hi = np.sort(10.0 ** rng.uniform(-2.0, np.log10(3.0), 2))
+        cfg = desk_profile(
+            num_uds=int(rng.integers(1, 13)), num_suavs=n,
+            suav_initial_positions=FOUR_SITES[:n], num_slots=3,
+            deadline_range=(float(lo), float(hi)),
+            data_bits_range=(float(rng.choice([0.0, 2e5])), 1e6),
+            suav_max_speed=float(rng.choice([0.0, 5.0, 25.0])),
+            min_separation=float(rng.uniform(0.0, 249.0)),
+            lyapunov_v=float(10.0 ** rng.uniform(0.0, 5.0)),
+            suav_energy_budget=prop * (1.0 + float(rng.uniform(1e-3, 1.0))),
+            seed=int(rng.integers(1 << 16)))
+        try:
+            res = run_simulation(cfg, APPROACH_IDS[i % len(APPROACH_IDS)])
+        except RuntimeError as exc:
+            assert re.fullmatch(r"slot \d+ failed: convex subproblem failed "
+                                r"its optimality contract .*", str(exc)), cfg
+            continue
+        assert res.violations == [], cfg
+        clean += 1
+    assert clean > 290
 
 
 def test_fading_stream_consumed_identically_across_approaches():
@@ -332,9 +367,7 @@ def test_realized_cost_matches_formulas():
         queues = init_queues(cfg.num_suavs, *cfg.budget_split())
         for _ in range(3):
             for m in range(0, cfg.num_uds, 7):
-                task = world.tasks[m]
-                world.tasks[m] = TaskSpec(0.0, task.cycles_per_bit,
-                                          task.deadline)
+                world.tasks.data_bits[m] = 0.0
             rates, _ = _slot_channel(world)
             ctx = build_game_context(world, queues, spec, rates)
             stage1 = run_stage1(ctx)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,32 @@ def test_draw_tasks_equals_per_ud_uniform_draws(cfg):
             assert drawn.shape == (cfg.num_uds, 3)
             assert drawn.tobytes() == uniform_loop(cfg, loop).tobytes()
         assert block.random() == loop.random()
+
+
+def test_tasks_are_one_record_array_of_the_drawn_rows():
+    """``World.tasks`` holds ``draw_tasks``' rows bit for bit as records;
+    ``task_arrays()`` returns its columns as views, so an edit through a
+    field shows there, and iterating gives records with attribute access."""
+    cfg = desk_profile(seed=9, data_bits_range=(0.0, 1e6))
+    world = build_scenario(cfg)
+    names = ("data_bits", "cycles_per_bit", "deadline")
+    for _ in range(4):
+        rng = copy.deepcopy(world.task_rng)
+        resample_tasks(world)
+        rows = draw_tasks(cfg, rng)
+        assert isinstance(world.tasks, np.recarray)
+        assert world.tasks.shape == (cfg.num_uds,)
+        assert world.tasks.dtype.names == names
+        columns = world.task_arrays()
+        for k, col in enumerate(columns):
+            assert col.tobytes() == rows[:, k].tobytes()
+            assert np.shares_memory(col, world.tasks)
+        d, eta, _ = columns
+        assert [t.data_bits * t.cycles_per_bit for t in world.tasks] \
+            == (d * eta).tolist()
+    world.tasks.data_bits[3] = 0.0
+    assert world.task_arrays()[0][3] == 0.0
+    assert world.tasks[3].data_bits == 0.0
 
 
 def test_mobility_first_step_uses_previous_velocity():

@@ -16,10 +16,12 @@ With --trace 0 the result holds, per workload, the pairs and a summary of
 every end-to-end metric in BENCHMARK.json: quartiles of both sides, wins
 (a pair with equal values is a tie), the median ratio, the revision's
 quartile spread and the gap between the medians (revision minus working
-tree).  With --trace 1 it holds the first seed's traced pair.  The JSON
-goes to standard output, or is merged into --out: the workload entry (or
-the traced pair) is replaced and other keys, such as a title or a claim,
-are kept.  Nothing in the repository is touched apart from --out.
+tree).  With --trace 1 it holds the seed's traced pair, under
+`traced_pairs` and the workload's name.  The JSON goes to standard output,
+or is merged into --out: the workload's entry (or its traced pair) is
+replaced and every other key, such as a title, a claim or another
+workload's traced pair, is kept.  Nothing in the repository is touched
+apart from --out.
 """
 from __future__ import annotations
 
@@ -157,10 +159,10 @@ def main(argv=None) -> int:
                f"--trace {args.trace}")
     if args.trace:
         p = pairs[0]
-        doc["traced_pair"] = {"workload": args.workload, "seed": p["seed"],
-                              "command": command.replace(
-                                  "--seed n", f"--seed {p['seed']}"),
-                              "parent": p["parent"], "change": p["change"]}
+        doc.setdefault("traced_pairs", {})[args.workload] = {
+            "seed": p["seed"],
+            "command": command.replace("--seed n", f"--seed {p['seed']}"),
+            "parent": p["parent"], "change": p["change"]}
     else:
         entry = {"command": command, "pairs": pairs,
                  "summary": summary(pairs, end_to_end)}

@@ -17,6 +17,9 @@
 #          so stage 1's deadline fallbacks are compared at M = 60 too
 #   desk: OJTRTA at lyapunov_v 50 and 5000, seeds 0-9, the other two V
 #         values that acceptance criterion 8 averages (V=500 is above)
+#   desk with zero-size tasks (data_bits_range (0, 0)): every approach,
+#         seeds 0-1, 10 slots, so EO's tie-break draws and the
+#         allocation's uniform-share fallback are compared too
 # Exits 0 when every file is identical, 1 on any difference, 2 on misuse.
 set -euo pipefail
 
@@ -36,6 +39,9 @@ echo '{"deadline_range": [0.05, 0.15], "data_bits_range": [0.0, 1e6]}' \
 for v in 50 5000; do
     echo "{\"lyapunov_v\": $v.0}" > "$tmp/v$v.json"
 done
+# zero-size tasks cost nothing on any server, so EO's UDs tie: stage 1
+# draws its tie-breaks and the allocation falls back to uniform shares
+echo '{"data_bits_range": [0.0, 0.0]}' > "$tmp/empty.json"
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -67,6 +73,8 @@ run_all() {    # <source tree> <output dir>
         simulate "$1" "$2/desk-v$v" --profile desk --approach OJTRTA \
             --config "$tmp/v$v.json" --seeds 0 1 2 3 4 5 6 7 8 9
     done
+    simulate "$1" "$2/desk-empty" --profile desk --approach all \
+        --config "$tmp/empty.json" --seeds 0 1 --slots 10
 }
 
 echo "running $1"
