@@ -14,8 +14,15 @@ from .verification import run_all
 def _build_config(args) -> ScenarioConfig:
     overrides = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:   # ValueError: not JSON
+            raise SystemExit(f"cannot read --config {args.config}: "
+                             f"{exc}") from None
+        if not isinstance(overrides, dict):
+            raise SystemExit(f"--config {args.config} must hold a JSON "
+                             "object of config fields")
     if args.slots is not None:
         overrides["num_slots"] = args.slots
     return _checked(PROFILES[args.profile], **overrides)
@@ -33,6 +40,9 @@ def _approach_list(spec: str):
     if spec == "all":
         return list(APPROACH_IDS)
     names = [s for s in spec.split(",") if s]
+    if not names:
+        raise SystemExit(f"--approach {spec!r} names no approach; choose "
+                         f"from {APPROACH_IDS} or 'all'")
     for name in names:
         if name not in APPROACH_IDS:
             raise SystemExit(
@@ -100,13 +110,15 @@ def cmd_sweep(args) -> int:
                          "--values sweeps scalar fields only")
     seeds = args.seeds if args.seeds else [0]
     approaches = _approach_list(args.approach)
-    clean = True
-    rows = []
+    points = []   # every point is validated before the first run
     for value in args.values:
         if type(getattr(base, field)) is int and value.is_integer():
             value = int(value)   # --values parses floats
-        config = _checked(ScenarioConfig.from_dict,
-                          {**base.to_dict(), field: value})
+        points.append((value, _checked(ScenarioConfig.from_dict,
+                                       {**base.to_dict(), field: value})))
+    clean = True
+    rows = []
+    for value, config in points:
         results = _run_batch(config, approaches, seeds)
         print(f"--- {field} = {value:g} ---")
         _report(results)

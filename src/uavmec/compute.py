@@ -4,37 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def local_delay(data_bits, cycles_per_bit, f_ud):
-    """Execution time of a task on its own device: eta*D/f."""
-    return cycles_per_bit * data_bits / f_ud
-
-
-def local_energy(data_bits, cycles_per_bit, f_ud, capacitance):
-    """CPU energy k * f^2 * eta * D (equivalently k*f^3 * T_loc)."""
-    return capacitance * f_ud ** 2 * cycles_per_bit * data_bits
-
-
-def edge_delay(data_bits, cycles_per_bit, rate, f_alloc):
-    """Uplink transmission plus edge execution: D/R + eta*D/F.
-
-    A zero-size task completes instantly regardless of the allocation.
-    """
-    if data_bits == 0:
-        return 0.0
-    if rate <= 0 or f_alloc <= 0:
-        raise ValueError("allocated rate and compute must be positive")
-    return data_bits / rate + cycles_per_bit * data_bits / f_alloc
-
-
-def edge_ud_energy(data_bits, rate, tx_power):
-    """Transmission energy p * D / R spent by the UD."""
-    if data_bits == 0:
-        return 0.0
-    if rate <= 0:
-        raise ValueError("allocated rate must be positive")
-    return tx_power * data_bits / rate
-
-
 def propulsion_power(v, c1, c2, c3, c4, tip_speed):
     """Rotary-wing power at horizontal speed v.
 
@@ -44,7 +13,7 @@ def propulsion_power(v, c1, c2, c3, c4, tip_speed):
     """
     v = np.asarray(v, dtype=float)
     blade = c1 * (1.0 + 3.0 * v ** 2 / tip_speed ** 2)
-    induced = c2 * np.sqrt(np.sqrt(c3 + v ** 4 / 4.0) - v ** 2 / 2.0)
+    induced = c2 * induced_speed_term(v, c3)
     parasite = c4 * v ** 3
     p = blade + induced + parasite
     return p if p.shape else float(p)

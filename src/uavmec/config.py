@@ -135,6 +135,16 @@ class ScenarioConfig:
         for name in self.__dataclass_fields__:
             if not _all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # NumPy would broadcast one entry over both axes and fail late on
+        # three, so each point, velocity and range must have exactly two
+        pairs = [(name, getattr(self, name)) for name in (
+            "luav_position", "mobility_mean_velocity", "data_bits_range",
+            "cycles_per_bit_range", "deadline_range")]
+        pairs += [("each suav_initial_positions entry", xy)
+                  for xy in self.suav_initial_positions]
+        for name, value in pairs:
+            if np.shape(value) != (2,):
+                raise ValueError(f"{name} must have exactly two entries")
         for name, low in (("num_uds", 1), ("num_suavs", 1), ("num_slots", 1),
                           ("sca_max_iters", 1), ("seed", 0)):
             value = getattr(self, name)

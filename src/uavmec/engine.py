@@ -166,9 +166,9 @@ def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
              rates: np.ndarray, f_max: np.ndarray):
     """Per-UD delay/energy/cost under the slot's decisions.
 
-    The formulas of ``compute``'s scalar functions, applied to the local
-    UDs and to the offloaded UDs with data in the same operation order; a
-    zero-size offloaded task costs nothing.  ``f_max`` is the (S,) server
+    The formulas of ``verification``'s per-UD scalar functions, applied to
+    the local UDs and to the offloaded UDs with data in the same operation
+    order; a zero-size offloaded task costs nothing.  ``f_max`` is the (S,) server
     compute of the slot's game context.
     """
     cfg = world.config
@@ -178,8 +178,8 @@ def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
 
     local = profile == LOCAL
     f_ud = world.ud_compute[local]
-    # scalar ** (C pow) as in local_energy: array ** squares by x*x, which
-    # can round differently
+    # scalar ** (C pow) as in verification.local_energy: array ** squares
+    # by x*x, which can round differently
     f_sq = np.array([f ** 2 for f in f_ud.tolist()])
     delays[local] = eta[local] * d[local] / f_ud
     energies[local] = cfg.effective_capacitance * f_sq * eta[local] \

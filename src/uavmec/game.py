@@ -26,7 +26,6 @@ as an array evaluation would; the tests hold it to an array reference.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -396,105 +395,3 @@ def run_stage1(ctx: GameContext,
     return Stage1Result(profile=profile, allocation=alloc, sweeps=sweeps,
                         moves=moves, converged=converged,
                         deadline_fallbacks=fallbacks)
-
-
-def is_nash(profile: np.ndarray, ctx: GameContext):
-    """(True, None) if no UD has a strictly improving feasible deviation.
-
-    Raises when the profile itself is infeasible (some member's deadline is
-    already violated), since equilibrium is defined over feasible profiles.
-    """
-    profile = np.asarray(profile, dtype=int)
-    sums = MemberSums(profile, ctx)
-    for m in range(ctx.n_uds):
-        br = best_response(m, profile, ctx, sums)
-        cur = int(profile[m])
-        if cur not in br.candidates:
-            raise ValueError(
-                f"profile infeasible: UD {m} misses its deadline on {cur}")
-        if br.best_utility < br.utilities[cur]:
-            return False, (m, br.best[0])
-    return True, None
-
-
-@dataclass
-class PoaResult:
-    poa: float
-    bound: float
-    optimum_value: float
-    worst_nash_value: float
-    n_feasible: int
-    n_nash: int
-    optimum_profile: tuple
-    worst_nash_profile: tuple
-
-
-def _queue_potential_term(profile: np.ndarray, ctx: GameContext) -> float:
-    """Sum over SUAVs of qw_s * total member compute energy (the G term
-    of the PoA bound 3 - (G(worst) + G(opt)) / U(opt))."""
-    total = 0.0
-    for s in range(ctx.n_suavs):
-        idx = profile == s
-        total += ctx.queue_weight[s] * ctx.edge_energy[idx].sum()
-    return float(total)
-
-
-def poa_measure(ctx: GameContext, max_profiles: int = 1_000_000) -> PoaResult:
-    """Exhaustive price-of-anarchy measurement on a small instance.
-
-    Enumerates every profile, keeps the feasible ones (all members meet
-    deadlines under the implied shares), finds the social optimum of the
-    utility sum and every Nash equilibrium, and returns the PoA together
-    with its upper bound 3 - (G(worst) + G(opt)) / U(opt).
-    """
-    strategies = ([LOCAL] if ctx.allow_local else []) \
-        + list(range(ctx.n_servers))
-    m_total = ctx.n_uds
-    n_profiles = len(strategies) ** m_total
-    if n_profiles > max_profiles:
-        raise ValueError(f"enumeration of {n_profiles} profiles exceeds cap")
-
-    best_value = None
-    best_profile = None
-    n_feasible = 0
-    nash: list[tuple[float, tuple]] = []
-    for combo in itertools.product(strategies, repeat=m_total):
-        profile = np.array(combo, dtype=int)
-        total = 0.0
-        feasible = True
-        equilibrium = True
-        sums = MemberSums(profile, ctx)
-        for m in range(m_total):
-            br = best_response(m, profile, ctx, sums)
-            cur = int(profile[m])
-            if cur not in br.candidates:
-                feasible = False
-                break
-            u_cur = br.utilities[cur]
-            total += u_cur
-            if br.best_utility < u_cur:
-                equilibrium = False
-        if not feasible:
-            continue
-        n_feasible += 1
-        if best_value is None or total < best_value:
-            best_value, best_profile = total, combo
-        if equilibrium:
-            nash.append((total, combo))
-
-    if best_value is None:
-        raise ValueError("no feasible profile exists")
-    if best_value <= 0.0:
-        raise ValueError("degenerate instance: optimum utility is zero")
-    if not nash:
-        raise RuntimeError("no Nash equilibrium found (theory violated)")
-
-    worst_value, worst_profile = max(nash, key=lambda t: t[0])
-    g_worst = _queue_potential_term(np.array(worst_profile), ctx)
-    g_opt = _queue_potential_term(np.array(best_profile), ctx)
-    bound = 3.0 - (g_worst + g_opt) / best_value
-    return PoaResult(poa=worst_value / best_value, bound=bound,
-                     optimum_value=best_value, worst_nash_value=worst_value,
-                     n_feasible=n_feasible, n_nash=len(nash),
-                     optimum_profile=tuple(best_profile),
-                     worst_nash_profile=tuple(worst_profile))

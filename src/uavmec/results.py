@@ -69,11 +69,6 @@ def write_summary_json(results, path) -> None:
         fh.write("\n")
 
 
-def read_summary(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_trajectory_csv(result, path) -> None:
     """Per-slot UD and SUAV positions of a traced run, for plotting."""
     if result.trace is None:

@@ -99,47 +99,6 @@ def build_problem(profile, shares, data_bits, phi_suav, ud_positions,
         sca_tol=cfg.sca_tolerance, max_iters=cfg.sca_max_iters)
 
 
-def surrogate_f(xi, q_next, expansion_q, current_q, xi_exp, dt):
-    """Tangent lower bound of f(xi, q') = xi^2 + ||q' - q||^2/dt^2."""
-    q_next = np.asarray(q_next, dtype=float)
-    diff_exp = np.asarray(expansion_q, dtype=float) - current_q
-    v2_exp = float(np.dot(diff_exp, diff_exp)) / dt ** 2
-    linear = 2.0 / dt ** 2 * float(np.dot(diff_exp, q_next - current_q))
-    return xi_exp ** 2 + 2.0 * xi_exp * (xi - xi_exp) - v2_exp + linear
-
-
-def true_f(xi, q_next, current_q, dt):
-    diff = np.asarray(q_next, dtype=float) - current_q
-    return xi ** 2 + float(np.dot(diff, diff)) / dt ** 2
-
-
-def surrogate_g(q_next, expansion_q, ud_position, phi, altitude):
-    """Tangent lower bound of the spectral efficiency g at the expansion."""
-    d2_exp = float(np.sum((np.asarray(expansion_q) - ud_position) ** 2))
-    den = altitude ** 2 + d2_exp
-    g_exp = np.log2(1.0 + phi / den)
-    slope = phi * LOG2E / (den * (den + phi))
-    d2 = float(np.sum((np.asarray(q_next) - ud_position) ** 2))
-    return float(g_exp - slope * (d2 - d2_exp))
-
-
-def true_g(q, ud_position, phi, altitude):
-    d2 = float(np.sum((np.asarray(q) - ud_position) ** 2))
-    return float(np.log2(1.0 + phi / (altitude ** 2 + d2)))
-
-
-def surrogate_h(q_i, q_j, expansion_i, expansion_j):
-    """Tangent lower bound of ||q_i - q_j||^2 (affine in both positions)."""
-    e_exp = np.asarray(expansion_i, dtype=float) - expansion_j
-    e = np.asarray(q_i, dtype=float) - q_j
-    return float(2.0 * np.dot(e_exp, e) - np.dot(e_exp, e_exp))
-
-
-def true_h(q_i, q_j):
-    e = np.asarray(q_i, dtype=float) - q_j
-    return float(np.dot(e, e))
-
-
 def true_objective(problem: TrajectoryProblem, positions,
                    layout: _Layout | None = None) -> float:
     """The actual placement cost at given next positions.
@@ -168,8 +127,6 @@ def true_objective(problem: TrajectoryProblem, positions,
 @dataclass
 class SubproblemSolution:
     positions: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray          # the rate slacks, SUAV by SUAV
     objective: float
     kkt_residual: float
 
@@ -709,9 +666,8 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
             f"convex subproblem failed its optimality contract "
             f"(KKT residual {kkt:.2e}, feasibility {feas:.2e})")
 
-    q, xi, zeta = sub.unpack(x)
-    return SubproblemSolution(positions=q.copy(), xi=xi.copy(),
-                              zeta=zeta.copy(), objective=float(f),
+    q, _, _ = sub.unpack(x)
+    return SubproblemSolution(positions=q.copy(), objective=float(f),
                               kkt_residual=kkt)
 
 

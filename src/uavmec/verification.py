@@ -11,22 +11,28 @@ Each suite returns a SuiteResult; `run_all` powers the CLI `verify`
 subcommand.  The random instances here are deliberately independent of the
 engine: they stress corner cases (zero-size tasks, zero queue weights, tight
 deadlines) that a well-behaved simulation rarely produces.
+
+The independent routes live here too, next to the suites that use them:
+the per-UD scalar delay and energy formulas, the simplex minimizer of the
+share objective, the Nash test, exhaustive PoA enumeration, the explicit
+surrogate and true constraint functions, and the grid search.  No slot
+module imports this one, so a simulation never loads them.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import allocate, allocation_oracle, share_objective
+from .allocation import AllocationResult, allocate
 from . import config
 from .compute import induced_speed_term, propulsion_power
-from .game import (GameContext, LOCAL, run_stage1, is_nash, poa_measure,
+from .game import (GameContext, LOCAL, MemberSums, best_response, run_stage1,
                    potential, utility)
-from .trajectory import (SuavAssignment, TrajectoryProblem, run_stage2,
-                         surrogate_f, surrogate_g, surrogate_h, true_f,
-                         true_g, true_h)
+from .trajectory import (LOG2E, SuavAssignment, TrajectoryProblem,
+                         run_stage2)
 
 PROP = dict(prop_c1=config.PROP_BLADE_POWER,
             prop_c2=config.PROP_INDUCED_POWER,
@@ -87,6 +93,137 @@ def random_profile(ctx: GameContext, rng: np.random.Generator) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# per-UD scalar formulas, the reference for engine._realize's array form
+def local_delay(data_bits, cycles_per_bit, f_ud):
+    """Execution time of a task on its own device: eta*D/f."""
+    return cycles_per_bit * data_bits / f_ud
+
+
+def local_energy(data_bits, cycles_per_bit, f_ud, capacitance):
+    """CPU energy k * f^2 * eta * D (equivalently k*f^3 * T_loc)."""
+    return capacitance * f_ud ** 2 * cycles_per_bit * data_bits
+
+
+def edge_delay(data_bits, cycles_per_bit, rate, f_alloc):
+    """Uplink transmission plus edge execution: D/R + eta*D/F.
+
+    A zero-size task completes instantly regardless of the allocation.
+    """
+    if data_bits == 0:
+        return 0.0
+    if rate <= 0 or f_alloc <= 0:
+        raise ValueError("allocated rate and compute must be positive")
+    return data_bits / rate + cycles_per_bit * data_bits / f_alloc
+
+
+def edge_ud_energy(data_bits, rate, tx_power):
+    """Transmission energy p * D / R spent by the UD."""
+    if data_bits == 0:
+        return 0.0
+    if rate <= 0:
+        raise ValueError("allocated rate must be positive")
+    return tx_power * data_bits / rate
+
+
+# ----------------------------------------------------------------------
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1}."""
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    rho = np.flatnonzero(u * np.arange(1, len(v) + 1) > cssv)[-1]
+    theta = cssv[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _simplex_minimize(a: np.ndarray, tol: float = 1e-8,
+                      max_iter: int = 100000) -> np.ndarray:
+    """Minimize sum_i a_i/x_i over the simplex by projected gradient.
+
+    Stops on the KKT conditions: the gradient is uniform across the support
+    to a relative spread of 2*tol (which bounds the share error by ~tol)
+    and no mass sits on zero-weight coordinates.  The sufficient-decrease
+    test carries a rounding allowance so steps near the optimum, where the
+    true decrease drops below float resolution, are not rejected.
+    """
+    k = len(a)
+    if np.all(a == 0.0):
+        return np.full(k, 1.0 / k)
+    if np.any(a < 0.0):
+        raise ValueError("weights must be nonnegative")
+    a = a / a.max()   # argmin is scale-invariant; normalize for float health
+    support = a > 0.0
+
+    def value(x):
+        return np.sum(a[support] / np.where(x[support] > 0,
+                                            x[support], np.inf))
+
+    x = np.full(k, 1.0 / k)
+    step = 1.0 / (2.0 * k ** 3)  # ~1/L at the uniform point (a.max() == 1)
+    fx = value(x)
+    for _ in range(max_iter):
+        g = np.zeros(k)
+        g[support] = -a[support] / x[support] ** 2
+        # KKT: gradient equal across the support, no mass off-support
+        spread = g[support].max() - g[support].min()
+        stray = x[~support].sum() if (~support).any() else 0.0
+        if spread <= 2.0 * tol * np.abs(g[support]).max() and stray <= tol:
+            return x
+        slack = 16.0 * np.finfo(float).eps * max(1.0, abs(fx))
+        while True:
+            y = _project_simplex(x - step * g)
+            fy = value(y)
+            if fy <= fx + np.dot(g, y - x) \
+                    + np.dot(y - x, y - x) / (2 * step) + slack:
+                break
+            step *= 0.5
+        x, fx = y, fy
+        step *= 1.3
+    raise RuntimeError("simplex projected gradient did not converge")
+
+
+def allocation_oracle(profile: np.ndarray, ctx,
+                      tol: float = 1e-8) -> AllocationResult:
+    """Numeric minimizer of the per-server share objective (<= 6 members)."""
+    n_servers = ctx.rates.shape[0]
+    m_total = len(ctx.data_bits)
+    z = np.zeros((n_servers, m_total))
+    w = np.zeros((n_servers, m_total))
+    for s in range(n_servers):
+        idx = np.flatnonzero(profile == s)
+        if len(idx) == 0:
+            continue
+        if len(idx) > 6:
+            raise ValueError("oracle is meant for <= 6 members per server")
+        d = ctx.data_bits[idx]
+        f_max = ctx.f_max[s]
+        a = ctx.gamma_time * ctx.cycles_per_bit[idx] * d / f_max
+        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power * d) \
+            / ctx.rates[s, idx]
+        z[s, idx] = _simplex_minimize(a, tol=tol)
+        w[s, idx] = _simplex_minimize(b, tol=tol)
+    return AllocationResult(z=z, w=w)
+
+
+def share_objective(profile: np.ndarray, ctx, alloc: AllocationResult) -> float:
+    """The share-dependent slot cost the two routes both minimize."""
+    total = 0.0
+    for s in range(ctx.rates.shape[0]):
+        idx = np.flatnonzero(profile == s)
+        if len(idx) == 0:
+            continue
+        d = ctx.data_bits[idx]
+        live = d > 0
+        if not np.any(live):
+            continue
+        idx = idx[live]
+        d = d[live]
+        a = ctx.gamma_time * ctx.cycles_per_bit[idx] * d / ctx.f_max[s]
+        b = (ctx.gamma_time * d + ctx.gamma_energy * ctx.tx_power * d) \
+            / ctx.rates[s, idx]
+        total += np.sum(a / alloc.z[s, idx]) + np.sum(b / alloc.w[s, idx])
+    return float(total)
+
+
 def allocation_suite(n_instances: int = 100, seed: int = 0,
                      tol: float = 1e-6) -> SuiteResult:
     """Closed-form shares vs the independent simplex minimizer."""
@@ -115,6 +252,25 @@ def allocation_suite(n_instances: int = 100, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
+def is_nash(profile: np.ndarray, ctx: GameContext):
+    """(True, None) if no UD has a strictly improving feasible deviation.
+
+    Raises when the profile itself is infeasible (some member's deadline is
+    already violated), since equilibrium is defined over feasible profiles.
+    """
+    profile = np.asarray(profile, dtype=int)
+    sums = MemberSums(profile, ctx)
+    for m in range(ctx.n_uds):
+        br = best_response(m, profile, ctx, sums)
+        cur = int(profile[m])
+        if cur not in br.candidates:
+            raise ValueError(
+                f"profile infeasible: UD {m} misses its deadline on {cur}")
+        if br.best_utility < br.utilities[cur]:
+            return False, (m, br.best[0])
+    return True, None
+
+
 def potential_suite(n_identity: int = 200, n_nash: int = 100,
                     seed: int = 1, tol: float = 1e-9) -> SuiteResult:
     """Deviation identity, equilibrium fixed points, strict descent."""
@@ -162,6 +318,89 @@ def potential_suite(n_identity: int = 200, n_nash: int = 100,
 
 
 # ----------------------------------------------------------------------
+@dataclass
+class PoaResult:
+    poa: float
+    bound: float
+    optimum_value: float
+    worst_nash_value: float
+    n_feasible: int
+    n_nash: int
+    optimum_profile: tuple
+    worst_nash_profile: tuple
+
+
+def _queue_potential_term(profile: np.ndarray, ctx: GameContext) -> float:
+    """Sum over SUAVs of qw_s * total member compute energy (the G term
+    of the PoA bound 3 - (G(worst) + G(opt)) / U(opt))."""
+    total = 0.0
+    for s in range(ctx.n_suavs):
+        idx = profile == s
+        total += ctx.queue_weight[s] * ctx.edge_energy[idx].sum()
+    return float(total)
+
+
+def poa_measure(ctx: GameContext, max_profiles: int = 1_000_000) -> PoaResult:
+    """Exhaustive price-of-anarchy measurement on a small instance.
+
+    Enumerates every profile, keeps the feasible ones (all members meet
+    deadlines under the implied shares), finds the social optimum of the
+    utility sum and every Nash equilibrium, and returns the PoA together
+    with its upper bound 3 - (G(worst) + G(opt)) / U(opt).
+    """
+    strategies = ([LOCAL] if ctx.allow_local else []) \
+        + list(range(ctx.n_servers))
+    m_total = ctx.n_uds
+    n_profiles = len(strategies) ** m_total
+    if n_profiles > max_profiles:
+        raise ValueError(f"enumeration of {n_profiles} profiles exceeds cap")
+
+    best_value = None
+    best_profile = None
+    n_feasible = 0
+    nash: list[tuple[float, tuple]] = []
+    for combo in itertools.product(strategies, repeat=m_total):
+        profile = np.array(combo, dtype=int)
+        total = 0.0
+        feasible = True
+        equilibrium = True
+        sums = MemberSums(profile, ctx)
+        for m in range(m_total):
+            br = best_response(m, profile, ctx, sums)
+            cur = int(profile[m])
+            if cur not in br.candidates:
+                feasible = False
+                break
+            u_cur = br.utilities[cur]
+            total += u_cur
+            if br.best_utility < u_cur:
+                equilibrium = False
+        if not feasible:
+            continue
+        n_feasible += 1
+        if best_value is None or total < best_value:
+            best_value, best_profile = total, combo
+        if equilibrium:
+            nash.append((total, combo))
+
+    if best_value is None:
+        raise ValueError("no feasible profile exists")
+    if best_value <= 0.0:
+        raise ValueError("degenerate instance: optimum utility is zero")
+    if not nash:
+        raise RuntimeError("no Nash equilibrium found (theory violated)")
+
+    worst_value, worst_profile = max(nash, key=lambda t: t[0])
+    g_worst = _queue_potential_term(np.array(worst_profile), ctx)
+    g_opt = _queue_potential_term(np.array(best_profile), ctx)
+    bound = 3.0 - (g_worst + g_opt) / best_value
+    return PoaResult(poa=worst_value / best_value, bound=bound,
+                     optimum_value=best_value, worst_nash_value=worst_value,
+                     n_feasible=n_feasible, n_nash=len(nash),
+                     optimum_profile=tuple(best_profile),
+                     worst_nash_profile=tuple(worst_profile))
+
+
 def poa_suite(n_instances: int = 50, seed: int = 2) -> SuiteResult:
     """1 <= PoA <= analytic bound on exhaustively enumerable instances."""
     rng = np.random.default_rng(seed)
@@ -208,6 +447,47 @@ def random_trajectory_problem(rng: np.random.Generator,
         current_positions=positions, assignments=assignments,
         queue_p=rng.uniform(0.0, 60.0, n_suavs), altitude=100.0, dt=1.0,
         v_max=25.0, d_min=10.0, **PROP)
+
+
+def surrogate_f(xi, q_next, expansion_q, current_q, xi_exp, dt):
+    """Tangent lower bound of f(xi, q') = xi^2 + ||q' - q||^2/dt^2."""
+    q_next = np.asarray(q_next, dtype=float)
+    diff_exp = np.asarray(expansion_q, dtype=float) - current_q
+    v2_exp = float(np.dot(diff_exp, diff_exp)) / dt ** 2
+    linear = 2.0 / dt ** 2 * float(np.dot(diff_exp, q_next - current_q))
+    return xi_exp ** 2 + 2.0 * xi_exp * (xi - xi_exp) - v2_exp + linear
+
+
+def true_f(xi, q_next, current_q, dt):
+    diff = np.asarray(q_next, dtype=float) - current_q
+    return xi ** 2 + float(np.dot(diff, diff)) / dt ** 2
+
+
+def surrogate_g(q_next, expansion_q, ud_position, phi, altitude):
+    """Tangent lower bound of the spectral efficiency g at the expansion."""
+    d2_exp = float(np.sum((np.asarray(expansion_q) - ud_position) ** 2))
+    den = altitude ** 2 + d2_exp
+    g_exp = np.log2(1.0 + phi / den)
+    slope = phi * LOG2E / (den * (den + phi))
+    d2 = float(np.sum((np.asarray(q_next) - ud_position) ** 2))
+    return float(g_exp - slope * (d2 - d2_exp))
+
+
+def true_g(q, ud_position, phi, altitude):
+    d2 = float(np.sum((np.asarray(q) - ud_position) ** 2))
+    return float(np.log2(1.0 + phi / (altitude ** 2 + d2)))
+
+
+def surrogate_h(q_i, q_j, expansion_i, expansion_j):
+    """Tangent lower bound of ||q_i - q_j||^2 (affine in both positions)."""
+    e_exp = np.asarray(expansion_i, dtype=float) - expansion_j
+    e = np.asarray(q_i, dtype=float) - q_j
+    return float(2.0 * np.dot(e_exp, e) - np.dot(e_exp, e_exp))
+
+
+def true_h(q_i, q_j):
+    e = np.asarray(q_i, dtype=float) - q_j
+    return float(np.dot(e, e))
 
 
 def surrogate_suite(n_samples: int = 1000, n_sca: int = 10,

@@ -3,9 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uavmec.allocation import (_project_simplex, _simplex_minimize, allocate,
-                               allocation_oracle, share_objective,
-                               uniform_allocation)
+from uavmec.allocation import allocate, uniform_allocation
+from uavmec.verification import (_project_simplex, _simplex_minimize,
+                                 allocation_oracle, share_objective)
 
 
 def make_ctx(rng, n_servers=2, m_total=5):

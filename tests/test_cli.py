@@ -92,13 +92,40 @@ def test_unknown_approach_exits():
     (["simulate", "--config", "{cfg}"], "warp_factor"),
     (["sweep", "--param", "lyapunov_v", "--values", "-5", "--slots", "2"],
      "lyapunov_v"),
-], ids=["zero-slots", "unknown-key", "negative-v"])
+    (["sweep", "--param", "V", "--values", "50", "-5", "--slots", "2",
+      "--out", "{out}"], "lyapunov_v"),
+], ids=["zero-slots", "unknown-key", "negative-v", "negative-v-after-50"])
 def test_invalid_configuration_exits_naming_the_field(tmp_path, argv, field):
+    """An invalid value exits naming its field before any output is
+    written: a sweep checks every point before its first run."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"warp_factor": 9}))
-    argv = [a.format(cfg=cfg_file) for a in argv]
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg_file, out=out) for a in argv]
     with pytest.raises(SystemExit, match=f"invalid configuration: .*{field}"):
         main(argv)
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", "{missing}"], "cannot read --config .*absent"),
+    (["simulate", "--config", "{bad}"], "cannot read --config .*bad.json"),
+    (["simulate", "--config", "{listed}"],
+     "--config .*listed.json must hold a JSON object"),
+    (["simulate", "--approach", ",", "--out", "{out}"],
+     "--approach ',' names no approach"),
+], ids=["missing-config", "malformed-config", "non-object-config",
+        "no-approach"])
+def test_bad_input_exits_naming_the_file_or_flag(tmp_path, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"num_uds": 8,')
+    listed = tmp_path / "listed.json"
+    listed.write_text('[["num_uds", 8]]')
+    argv = [a.format(missing=tmp_path / "absent.json", bad=bad,
+                     listed=listed, out=tmp_path / "out") for a in argv]
+    with pytest.raises(SystemExit, match=message):
+        main(argv + ["--slots", "2"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_value_error_inside_a_run_still_propagates(monkeypatch):

@@ -3,33 +3,35 @@ import pytest
 
 from uavmec import compute as cm
 from uavmec.config import desk_profile
+from uavmec.verification import (edge_delay, edge_ud_energy, local_delay,
+                                 local_energy)
 
 PROP = dict(c1=79.86, c2=21.99, c3=263.85, c4=0.00924, tip_speed=120.0)
 
 
 def test_local_formulas():
-    assert cm.local_delay(1e6, 1000.0, 2e9) == pytest.approx(0.5)
-    assert cm.local_energy(1e6, 1000.0, 2e9, 1e-28) \
+    assert local_delay(1e6, 1000.0, 2e9) == pytest.approx(0.5)
+    assert local_energy(1e6, 1000.0, 2e9, 1e-28) \
         == pytest.approx(1e-28 * (2e9) ** 2 * 1e9)
 
 
 def test_edge_delay_splits_into_transmission_and_execution():
     d, eta = 5e5, 800.0
     rate, f_alloc = 2e6, 4e9
-    assert cm.edge_delay(d, eta, rate, f_alloc) \
+    assert edge_delay(d, eta, rate, f_alloc) \
         == pytest.approx(d / rate + eta * d / f_alloc)
-    assert cm.edge_delay(0.0, eta, rate, f_alloc) == 0.0
+    assert edge_delay(0.0, eta, rate, f_alloc) == 0.0
     with pytest.raises(ValueError):
-        cm.edge_delay(d, eta, 0.0, f_alloc)
+        edge_delay(d, eta, 0.0, f_alloc)
     with pytest.raises(ValueError):
-        cm.edge_delay(d, eta, rate, 0.0)
+        edge_delay(d, eta, rate, 0.0)
 
 
 def test_edge_ud_energy():
-    assert cm.edge_ud_energy(5e5, 2e6, 0.1) == pytest.approx(0.025)
-    assert cm.edge_ud_energy(0.0, 2e6, 0.1) == 0.0
+    assert edge_ud_energy(5e5, 2e6, 0.1) == pytest.approx(0.025)
+    assert edge_ud_energy(0.0, 2e6, 0.1) == 0.0
     with pytest.raises(ValueError):
-        cm.edge_ud_energy(5e5, 0.0, 0.1)
+        edge_ud_energy(5e5, 0.0, 0.1)
 
 
 def test_propulsion_power_at_hover_and_shape():

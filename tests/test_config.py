@@ -59,6 +59,26 @@ def test_validate_keeps_positions_in_the_service_area():
         desk_profile(luav_position=(-2000.0, 250.0))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("mobility_mean_velocity", (3.0,)),
+    ("mobility_mean_velocity", ()),
+    ("mobility_mean_velocity", (1.0, 0.0, 0.0)),
+    ("luav_position", (250.0,)),
+    ("suav_initial_positions", ((125.0,), (375.0,))),
+    ("suav_initial_positions", ((125.0, 125.0), (375.0, 375.0, 0.0))),
+    ("data_bits_range", (1e6,)),
+    ("cycles_per_bit_range", (500.0, 1000.0, 1500.0)),
+    ("deadline_range", (1.0,)),
+], ids=["velocity-one", "velocity-none", "velocity-three", "luav-one",
+        "suav-one-each", "suav-three", "data-one", "cycles-three",
+        "deadline-one"])
+def test_validate_requires_two_entries_per_point_and_range(name, value):
+    """A single entry would broadcast over both axes, and any other count
+    would fail deep inside a run, so each must have exactly two."""
+    with pytest.raises(ValueError, match=f"{name}.* exactly two entries"):
+        desk_profile(**{name: value})
+
+
 @pytest.mark.parametrize("value", [0, -3, 2.9, 50.0, True, "50"])
 def test_validate_rejects_bad_sca_max_iters(value):
     """And every other integer field: counts must be >= 1, the seed >= 0."""

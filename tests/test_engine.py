@@ -1,7 +1,13 @@
 """Slot loop: approach switches, metric folding, persistence round-trips."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +20,11 @@ from uavmec.engine import (APPROACH_IDS, APPROACHES, SlotDecision, _realize,
                            run_simulation, run_slot)
 from uavmec.game import LOCAL, run_stage1
 from uavmec.lyapunov import dpp_objective, init_queues
-from uavmec.results import (read_summary, slot_header, write_slot_csv,
-                            write_summary_json, write_trajectory_csv)
+from uavmec.results import (slot_header, write_slot_csv, write_summary_json,
+                            write_trajectory_csv)
 from uavmec.scenario import build_scenario, resample_tasks, step_mobility
+from uavmec.verification import (edge_delay, edge_ud_energy, local_delay,
+                                 local_energy)
 
 
 def tiny_config(**overrides):
@@ -321,14 +329,14 @@ def loop_realize(world, profile, alloc, rates):
     for m in range(cfg.num_uds):
         s = int(profile[m])
         if s == LOCAL:
-            delays[m] = cm.local_delay(d[m], eta[m], world.ud_compute[m])
-            energies[m] = cm.local_energy(d[m], eta[m], world.ud_compute[m],
-                                          cfg.effective_capacitance)
+            delays[m] = local_delay(d[m], eta[m], world.ud_compute[m])
+            energies[m] = local_energy(d[m], eta[m], world.ud_compute[m],
+                                       cfg.effective_capacitance)
         elif d[m] != 0:
             rate = alloc.w[s, m] * rates[s, m]
             f_alloc = alloc.z[s, m] * f_max[s]
-            delays[m] = cm.edge_delay(d[m], eta[m], rate, f_alloc)
-            energies[m] = cm.edge_ud_energy(d[m], rate, cfg.ud_tx_power)
+            delays[m] = edge_delay(d[m], eta[m], rate, f_alloc)
+            energies[m] = edge_ud_energy(d[m], rate, cfg.ud_tx_power)
     costs = cm.ud_cost(delays, energies, cfg.gamma_time, cfg.gamma_energy)
     return delays, energies, costs
 
@@ -424,6 +432,25 @@ def test_unknown_approach_raises():
         run_simulation(tiny_config(), "GREEDY")
 
 
+def test_slot_path_loads_no_oracle_code():
+    """Every approach runs without importing ``uavmec.verification``: the
+    independent routes the suites check against stay off the slot path."""
+    script = textwrap.dedent("""
+        import sys
+        from uavmec.config import desk_profile
+        from uavmec.engine import APPROACH_IDS, run_simulation
+        for approach in APPROACH_IDS:
+            run_simulation(desk_profile(num_slots=2), approach)
+        loaded = sorted(m for m in sys.modules if m.startswith("uavmec."))
+        assert "uavmec.verification" not in loaded, loaded
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_slot_failure_reports_slot_index(monkeypatch):
     import uavmec.engine as eng
 
@@ -475,7 +502,7 @@ def test_summary_json_round_trip(tmp_path):
     results = [run_simulation(cfg, app) for app in ("OJTRTA", "FLP")]
     path = tmp_path / "summary.json"
     write_summary_json(results, path)
-    doc = read_summary(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["config"] == cfg.to_dict()
     assert [r["approach"] for r in doc["runs"]] == ["OJTRTA", "FLP"]
     assert doc["runs"][0]["tac"] == results[0].aggregates["tac"]

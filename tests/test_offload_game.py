@@ -3,19 +3,21 @@ import pytest
 
 from uavmec import compute as cm
 from uavmec.allocation import allocate
-from uavmec.game import (LOCAL, MemberSums, best_response, is_nash,
-                         poa_measure, potential, run_stage1, utility)
-from uavmec.verification import random_game_context, random_profile
+from uavmec.game import (LOCAL, MemberSums, best_response, potential,
+                         run_stage1, utility)
+from uavmec.verification import (edge_delay, edge_ud_energy, is_nash,
+                                 local_delay, local_energy, poa_measure,
+                                 random_game_context, random_profile)
 
 
 def compositional_utility(m, s, profile, ctx):
     """Recompute a utility from first principles: join the server, re-derive
     the optimal shares, price delay + energy + queue term explicitly."""
     if s == LOCAL:
-        delay = cm.local_delay(ctx.data_bits[m], ctx.cycles_per_bit[m],
-                               ctx.ud_compute[m])
-        energy = cm.local_energy(ctx.data_bits[m], ctx.cycles_per_bit[m],
-                                 ctx.ud_compute[m], ctx.capacitance)
+        delay = local_delay(ctx.data_bits[m], ctx.cycles_per_bit[m],
+                            ctx.ud_compute[m])
+        energy = local_energy(ctx.data_bits[m], ctx.cycles_per_bit[m],
+                              ctx.ud_compute[m], ctx.capacitance)
         return cm.ud_cost(delay, energy, ctx.gamma_time, ctx.gamma_energy)
     prof = np.asarray(profile).copy()
     prof[m] = s
@@ -26,8 +28,8 @@ def compositional_utility(m, s, profile, ctx):
     else:
         rate = alloc.w[s, m] * ctx.rates[s, m]
         f_alloc = alloc.z[s, m] * ctx.f_max[s]
-        delay = cm.edge_delay(d, eta, rate, f_alloc)
-        energy = cm.edge_ud_energy(d, rate, ctx.tx_power)
+        delay = edge_delay(d, eta, rate, f_alloc)
+        energy = edge_ud_energy(d, rate, ctx.tx_power)
         cost = cm.ud_cost(delay, energy, ctx.gamma_time, ctx.gamma_energy)
     return ctx.queue_weight[s] * ctx.edge_energy[m] + cost
 

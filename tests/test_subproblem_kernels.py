@@ -13,8 +13,8 @@ from scipy.optimize import minimize, nnls
 from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.trajectory import (LOG2E, XI_FLOOR, ZETA_FLOOR,
                                TrajectoryProblem, _Layout, _Subproblem,
-                               true_g, true_objective)
-from uavmec.verification import random_trajectory_problem
+                               true_objective)
+from uavmec.verification import random_trajectory_problem, true_g
 
 
 def loop_true_objective(problem: TrajectoryProblem, positions) -> float:

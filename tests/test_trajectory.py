@@ -8,10 +8,11 @@ from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.config import desk_profile
 from uavmec.trajectory import (
     KKT_TOL, FEAS_TOL, SuavAssignment, TrajectoryProblem, _Subproblem,
-    build_problem, run_stage2, solve_convex_subproblem, surrogate_f,
-    surrogate_g, surrogate_h, true_f, true_g, true_h, true_objective,
+    build_problem, run_stage2, solve_convex_subproblem, true_objective,
 )
-from uavmec.verification import PROP, random_trajectory_problem
+from uavmec.verification import (PROP, random_trajectory_problem,
+                                 surrogate_f, surrogate_g, surrogate_h,
+                                 true_f, true_g, true_h)
 
 
 def small_problem(rng, n_suavs=2, max_uds=3, queue_scale=60.0):
@@ -190,14 +191,22 @@ def test_constraint_jacobian_matches_finite_differences():
 
 # --- convex subproblem ---
 
-def test_subproblem_meets_optimality_contract():
+def test_subproblem_meets_optimality_contract(monkeypatch):
+    # the solution keeps only the positions; the packed point [q, xi, zeta]
+    # it came from is the last one unpacked
+    packed = []
+    unpack = _Subproblem.unpack
+    monkeypatch.setattr(_Subproblem, "unpack",
+                        lambda self, x: packed.append(x) or unpack(self, x))
     rng = np.random.default_rng(18)
     for _ in range(8):
         prob = small_problem(rng)
         sol = solve_convex_subproblem(prob, prob.current_positions.copy())
         assert sol.kkt_residual <= KKT_TOL
+        x = packed[-1]
+        np.testing.assert_array_equal(x[:sol.positions.size],
+                                      sol.positions.ravel())
         sub = _Subproblem(prob, prob.current_positions.copy())
-        x = np.concatenate([sol.positions.ravel(), sol.xi, sol.zeta])
         assert float(np.min(sub.constraints(x))) >= -FEAS_TOL
 
 

@@ -20,6 +20,9 @@
 #   desk with zero-size tasks (data_bits_range (0, 0)): every approach,
 #         seeds 0-1, 10 slots, so EO's tie-break draws and the
 #         allocation's uniform-share fallback are compared too
+#   verify: the four oracle suites' lines at seeds 0 and 1, with each
+#         line's trailing runtime stripped, so the independent routes
+#         are compared too
 # Exits 0 when every file is identical, 1 on any difference, 2 on misuse.
 set -euo pipefail
 
@@ -58,6 +61,17 @@ simulate() {   # <source tree> <output dir> <simulate arguments...>
     fi
 }
 
+verify() {     # <source tree> <output file> <seed>
+    # exit 1 is a failed suite, whose lines are still compared; the
+    # runtime that ends each line differs from run to run
+    PYTHONPATH="$1/src" python3 -m uavmec.cli verify --seed "$3" \
+        | sed -E 's/, [0-9.]+s\)$/)/' > "$2" || true
+    if [ "$(wc -l < "$2")" -ne 4 ]; then
+        echo "error: no suite lines from $1 for: verify --seed $3" >&2
+        exit 2
+    fi
+}
+
 run_all() {    # <source tree> <output dir>
     simulate "$1" "$2/desk" --profile desk --approach all --trace \
         --seeds 0 1 2 3 4 5 6 7 8 9
@@ -75,6 +89,9 @@ run_all() {    # <source tree> <output dir>
     done
     simulate "$1" "$2/desk-empty" --profile desk --approach all \
         --config "$tmp/empty.json" --seeds 0 1 --slots 10
+    for seed in 0 1; do
+        verify "$1" "$2/verify-seed$seed.txt" "$seed"
+    done
 }
 
 echo "running $1"
