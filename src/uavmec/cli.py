@@ -1,6 +1,7 @@
 """Command-line front end: run simulations, sweeps, and the oracle suites."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -8,7 +9,6 @@ import sys
 from .config import PROFILES, ScenarioConfig
 from .engine import APPROACH_IDS, run_simulation
 from .results import write_slot_csv, write_summary_json, write_trajectory_csv
-from .verification import run_all
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -87,7 +87,9 @@ def _report(results) -> None:
 
 def cmd_simulate(args) -> int:
     config = _build_config(args)
-    seeds = args.seeds if args.seeds else [config.seed]
+    seeds = args.seeds or [config.seed]
+    for seed in seeds:   # every seed is validated before the first run
+        _checked(dataclasses.replace, config, seed=seed)
     approaches = _approach_list(args.approach)
     results = _run_batch(config, approaches, seeds, trace=args.trace)
     _report(results)
@@ -108,7 +110,9 @@ def cmd_sweep(args) -> int:
     if isinstance(getattr(base, field), tuple):
         raise SystemExit(f"sweep parameter {field!r} is tuple-valued; "
                          "--values sweeps scalar fields only")
-    seeds = args.seeds if args.seeds else [0]
+    seeds = args.seeds or [0]
+    for seed in seeds:
+        _checked(dataclasses.replace, base, seed=seed)
     approaches = _approach_list(args.approach)
     points = []   # every point is validated before the first run
     for value in args.values:
@@ -140,6 +144,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_all   # simulations never load the oracles
     suites = run_all(seed=args.seed)
     for suite in suites:
         print(suite.line())

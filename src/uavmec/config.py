@@ -32,15 +32,47 @@ PROP_PARASITE_COEFF = 0.00924  # kg/m
 PROP_TIP_SPEED = 120.0        # m/s
 
 
-def _all_finite(value) -> bool:
-    """False if ``value``, or any entry of a (nested) tuple or list, is a
-    non-finite float; integers, non-numbers and ``None`` count as finite."""
-    if isinstance(value, (tuple, list)):
-        return all(_all_finite(v) for v in value)
-    if isinstance(value, numbers.Real) \
-            and not isinstance(value, numbers.Integral):
-        return math.isfinite(value)
-    return True
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _numbers(f, value) -> tuple:
+    """The numbers in ``value``, once it has the type and shape of field
+    ``f``'s default: a bool, an integer, a number (or ``None`` if that is the
+    default), or a tuple of numbers or points; two entries if the default has
+    two (the points, the velocity, the ranges)."""
+    default = f.default
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false")
+        return ()
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer")
+        return (value,)
+    if not isinstance(default, tuple):   # a float, or None for a budget
+        if not (_is_number(value) or (value is None and default is None)):
+            raise ValueError(f"{f.name} must be a number")
+        return () if value is None else (value,)
+    if not isinstance(value, tuple):
+        raise ValueError(f"{f.name} must be a tuple (a list in JSON)")
+    if isinstance(default[0], tuple):
+        if not all(isinstance(xy, tuple) and len(xy) == 2 for xy in value):
+            raise ValueError(f"each {f.name} entry needs exactly two entries")
+        value = sum(value, ())
+    elif len(default) == 2 and len(value) != 2:
+        raise ValueError(f"{f.name} needs exactly two entries")
+    if not all(map(_is_number, value)):
+        raise ValueError(f"{f.name} entries must be numbers")
+    return value
+
+
+def _as_tuples(value):
+    """JSON lists (and tuples) as tuples with float numbers; any other value
+    or entry as it is, for ``validate`` to reject by name."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    return tuple(float(x) if _is_number(x) else _as_tuples(x) for x in value)
 
 
 @dataclass
@@ -131,37 +163,18 @@ class ScenarioConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        # NaN passes every comparison below, so reject it (and +-inf) first
-        for name in self.__dataclass_fields__:
-            if not _all_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        # NumPy would broadcast one entry over both axes and fail late on
-        # three, so each point, velocity and range must have exactly two
-        pairs = [(name, getattr(self, name)) for name in (
-            "luav_position", "mobility_mean_velocity", "data_bits_range",
-            "cycles_per_bit_range", "deadline_range")]
-        pairs += [("each suav_initial_positions entry", xy)
-                  for xy in self.suav_initial_positions]
-        for name, value in pairs:
-            if np.shape(value) != (2,):
-                raise ValueError(f"{name} must have exactly two entries")
-        for name, low in (("num_uds", 1), ("num_suavs", 1), ("num_slots", 1),
-                          ("sca_max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.area_width <= 0 or self.area_height <= 0:
-            raise ValueError("area dimensions must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what = f"{f.name} entries" if isinstance(value, tuple) else f.name
+            low, allowed = _BOUNDS.get(f.name, (-math.inf, True))
+            for x in _numbers(f, value):
+                if not math.isfinite(x):   # NaN would pass every bound
+                    raise ValueError(f"{f.name} must be finite")
+                if x < low or (x == low and not allowed):
+                    raise ValueError(f"{what} must be "
+                                     f"{'>=' if allowed else '>'} {low:g}")
         if len(self.suav_initial_positions) != self.num_suavs:
             raise ValueError("need one initial position per SUAV")
-        if self.suav_max_speed < 0:
-            raise ValueError("suav_max_speed must be >= 0")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
         pos = np.asarray(self.suav_initial_positions, dtype=float)
         for name, xy in (("suav_initial_positions", pos),
                          ("luav_position", np.asarray(self.luav_position))):
@@ -172,43 +185,15 @@ class ScenarioConfig:
                 if np.linalg.norm(pos[i] - pos[j]) < self.min_separation:
                     raise ValueError(
                         "initial SUAV positions closer than min_separation")
-        for name in ("suav_compute", "luav_compute", "suav_bandwidth",
-                     "luav_bandwidth", "ud_tx_power", "noise_power",
-                     "carrier_frequency", "attenuation_los",
-                     "attenuation_nlos", "nakagami_los", "nakagami_nlos",
-                     "mean_channel_power", "effective_capacitance",
-                     "suav_energy_per_cycle", "suav_altitude",
-                     "luav_altitude", "prop_speed4", "prop_tip_speed"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("prop_blade", "prop_induced", "prop_parasite",
-                     "los_c1", "los_c2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("nakagami_los", "nakagami_nlos"):
-            if getattr(self, name) < 0.5:   # Nakagami-m needs m >= 0.5
-                raise ValueError(f"{name} must be >= 0.5")
-        if not 0.0 <= self.mobility_alpha <= 1.0:
+        if self.mobility_alpha > 1.0:
             raise ValueError("mobility_alpha must lie in [0, 1]")
-        if self.mobility_sigma < 0:
-            raise ValueError("mobility_sigma must be >= 0")
         for name in ("data_bits_range", "cycles_per_bit_range",
                      "deadline_range"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= low <= high")
+            if hi < lo:
+                raise ValueError(f"{name} must satisfy low <= high")
         if not self.ud_compute_options:
             raise ValueError("ud_compute_options must not be empty")
-        if any(f <= 0 for f in self.ud_compute_options):
-            raise ValueError("ud_compute_options must be positive")
-        if self.gamma_time < 0 or self.gamma_energy < 0:
-            raise ValueError("objective weights must be >= 0")
-        if self.lyapunov_v <= 0:
-            raise ValueError("lyapunov_v must be positive")
-        if self.suav_energy_budget <= 0:
-            raise ValueError("suav_energy_budget must be positive")
-        if not (math.isfinite(self.sca_tolerance) and self.sca_tolerance > 0):
-            raise ValueError("sca_tolerance must be finite and positive")
         eb_c, eb_p = self.budget_split()
         if eb_c <= 0 or eb_p <= 0:
             raise ValueError("per-slot energy budgets must be positive; "
@@ -240,9 +225,10 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """The fields as JSON-style values: tuples become lists."""
         d = asdict(self)
-        for name in _TUPLE_FIELDS:
-            d[name] = [list(x) if isinstance(x, tuple) else x
-                       for x in d[name]]
+        for name, value in d.items():
+            if isinstance(value, tuple):
+                d[name] = [list(x) if isinstance(x, tuple) else x
+                           for x in value]
         return d
 
     def digest(self) -> str:
@@ -270,23 +256,36 @@ class ScenarioConfig:
             if key in data:
                 if target in data:
                     raise ValueError(f"give either {key} or {target}, not both")
-                data[target] = conv(data.pop(key))
+                value = data.pop(key)
+                data[target] = conv(value) if _is_number(value) else value
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, nested in _TUPLE_FIELDS.items():
-            if name in data:
-                data[name] = tuple(tuple(map(float, x)) if nested else float(x)
-                                   for x in data[name])
-        return cls(**data)
+        return cls(**{name: _as_tuples(v) for name, v in data.items()})
 
 
-# tuple-valued fields, found from their tuple defaults, and whether their
-# entries are tuples themselves
-_TUPLE_FIELDS = {f.name: isinstance(f.default[0], tuple)
-                 for f in fields(ScenarioConfig)
-                 if isinstance(f.default, tuple)}
+# Lower bounds {name: (lowest, allowed)} of a value or of each tuple entry
+_BOUNDS = {
+    **dict.fromkeys(("num_uds", "num_suavs", "num_slots", "sca_max_iters"),
+                    (1, True)),
+    "seed": (0, True),
+    **dict.fromkeys((
+        "area_width", "area_height", "suav_altitude", "luav_altitude",
+        "slot_duration", "suav_compute", "luav_compute", "suav_bandwidth",
+        "luav_bandwidth", "ud_tx_power", "noise_power", "carrier_frequency",
+        "attenuation_los", "attenuation_nlos", "mean_channel_power",
+        "effective_capacitance", "suav_energy_per_cycle", "prop_speed4",
+        "prop_tip_speed", "ud_compute_options", "lyapunov_v",
+        "suav_energy_budget", "sca_tolerance"), (0.0, False)),
+    **dict.fromkeys((
+        "suav_max_speed", "min_separation", "los_c1", "los_c2", "prop_blade",
+        "prop_induced", "prop_parasite", "mobility_alpha", "mobility_sigma",
+        "data_bits_range", "cycles_per_bit_range", "deadline_range",
+        "gamma_time", "gamma_energy"), (0.0, True)),
+    # Nakagami-m needs m >= 0.5
+    **dict.fromkeys(("nakagami_los", "nakagami_nlos"), (0.5, True)),
+}
 
 
 def load_config(path: str) -> ScenarioConfig:

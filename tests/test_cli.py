@@ -39,7 +39,8 @@ def test_simulate_multiple_approaches_and_seeds(tmp_path):
 
 def test_flp_runs_without_loading_scipy(tmp_path):
     """SciPy is loaded on the first placement solve, not by ``import
-    uavmec``: FLP never moves a SUAV, so it runs on NumPy alone."""
+    uavmec``: FLP never moves a SUAV, so it runs on NumPy alone.  No
+    simulation loads the oracles of ``uavmec.verification``."""
     script = textwrap.dedent("""
         import sys
         from uavmec.cli import main
@@ -51,6 +52,7 @@ def test_flp_runs_without_loading_scipy(tmp_path):
         assert main(["simulate", "--approach", "OJTRTA", "--seeds", "0",
                      "--slots", "2", "--out", out + "/ojtrta"]) == 0
         assert "scipy.optimize" in sys.modules
+        assert "uavmec.verification" not in sys.modules
     """)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -94,10 +96,19 @@ def test_unknown_approach_exits():
      "lyapunov_v"),
     (["sweep", "--param", "V", "--values", "50", "-5", "--slots", "2",
       "--out", "{out}"], "lyapunov_v"),
-], ids=["zero-slots", "unknown-key", "negative-v", "negative-v-after-50"])
+    (["simulate", "--approach", "FLP", "--seeds", "0", "-1", "--slots", "2",
+      "--out", "{out}"], "seed must be >= 0"),
+    (["sweep", "--param", "V", "--values", "50", "--seeds", "0", "-1",
+      "--slots", "2", "--out", "{out}"], "seed must be >= 0"),
+    (["sweep", "--param", "expected_fading", "--values", "2.5", "--slots",
+      "2", "--out", "{out}"], "expected_fading must be true or false"),
+], ids=["zero-slots", "unknown-key", "negative-v", "negative-v-after-50",
+        "simulate-negative-seed-after-0", "sweep-negative-seed-after-0",
+        "number-for-bool"])
 def test_invalid_configuration_exits_naming_the_field(tmp_path, argv, field):
     """An invalid value exits naming its field before any output is
-    written: a sweep checks every point before its first run."""
+    written: a sweep checks every point, and both commands every seed,
+    before the first run."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"warp_factor": 9}))
     out = tmp_path / "out"
@@ -105,6 +116,36 @@ def test_invalid_configuration_exits_naming_the_field(tmp_path, argv, field):
     with pytest.raises(SystemExit, match=f"invalid configuration: .*{field}"):
         main(argv)
     assert not list(out.glob("*"))
+
+
+MALFORMED = [({"lyapunov_v": "5"}, "lyapunov_v must be a number"),
+             ({"gamma_time": None}, "gamma_time must be a number"),
+             ({"expected_fading": 2.5}, "expected_fading must be true or"),
+             ({"mobility_alpha": True}, "mobility_alpha must be a number"),
+             ({"luav_position": ["250", "250"]}, "luav_position entries"),
+             ({"data_bits_range": [True, 1e6]}, "data_bits_range entries"),
+             ({"luav_position": 5}, "luav_position must be a tuple"),
+             ({"suav_initial_positions": [5, 6]},
+              "each suav_initial_positions entry needs exactly two"),
+             ({"ud_compute_options": "abc"},
+              "ud_compute_options must be a tuple"),
+             ({"ud_tx_power_dbm": "20"}, "ud_tx_power must be a number")]
+
+
+@pytest.mark.parametrize("overrides, message", MALFORMED, ids=[
+    "string-v", "null-gamma", "number-for-bool", "bool-for-number",
+    "string-entries", "bool-entry", "number-for-pair", "flat-positions",
+    "string-options", "string-dbm"])
+def test_malformed_field_exits_naming_it(tmp_path, overrides, message):
+    """A value of the wrong type or shape exits with a message, not a
+    traceback, before any output is written."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"invalid configuration: {message}"):
+        main(["simulate", "--config", str(cfg_file), "--slots", "1",
+              "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

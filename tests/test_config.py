@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uavmec.config import (PROFILES, ScenarioConfig, desk_profile,
+from uavmec.config import (_BOUNDS, PROFILES, ScenarioConfig, desk_profile,
                            load_config, paper_profile)
 
 
@@ -115,6 +115,82 @@ def test_validate_requires_nakagami_shape_of_at_least_half(name):
         with pytest.raises(ValueError, match=name):
             desk_profile(**{name: value})
     assert getattr(desk_profile(**{name: 0.5}), name) == 0.5
+
+
+MALFORMED = [
+    ("lyapunov_v", "5", "lyapunov_v must be a number"),
+    ("gamma_time", None, "gamma_time must be a number"),
+    ("expected_fading", 2.5, "expected_fading must be true or false"),
+    ("expected_fading", 1, "expected_fading must be true or false"),
+    ("mobility_alpha", True, "mobility_alpha must be a number"),
+    ("luav_position", ["250", "250"], "luav_position entries must be numbers"),
+    ("data_bits_range", [True, 1e6], "data_bits_range entries must be num"),
+    ("luav_position", 5, "luav_position must be a tuple"),
+    ("suav_initial_positions", [5, 6],
+     "each suav_initial_positions entry needs exactly two entries"),
+    ("ud_compute_options", "abc", "ud_compute_options must be a tuple"),
+    ("budget_compute", "50", "budget_compute must be a number"),
+    ("ud_tx_power_dbm", "20", "ud_tx_power must be a number"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", MALFORMED)
+def test_validate_rejects_a_value_of_the_wrong_type_by_name(name, value,
+                                                             message):
+    """Each value must have the type and shape of its field's default, both
+    through the profiles and through a JSON-style dict."""
+    with pytest.raises(ValueError, match=message):
+        desk_profile(**{name: value})
+    data = {**desk_profile().to_dict(), name: value}
+    if name == "ud_tx_power_dbm":
+        del data["ud_tx_power"]
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"ud_compute_options": (1e9, 0.0)}, "ud_compute_options entries .* > 0"),
+    ({"ud_compute_options": ()}, "ud_compute_options must not be empty"),
+    ({"data_bits_range": (-1.0, 1e6)}, "data_bits_range entries must be >= 0"),
+    ({"deadline_range": (2.0, 1.0)}, "deadline_range must satisfy low <= h"),
+    ({"mobility_alpha": -0.1}, "mobility_alpha must be >= 0"),
+    ({"mobility_alpha": 1.1}, r"mobility_alpha must lie in \[0, 1\]"),
+    ({"budget_compute": -1.0}, "per-slot energy budgets must be positive"),
+])
+def test_validate_bounds_each_value_and_relates_the_pairs(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        desk_profile(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"num_uds": np.int64(5), "seed": np.int64(3)},
+    {"lyapunov_v": np.float64(50.0), "gamma_time": np.float64(0.5)},
+    {"lyapunov_v": 50, "suav_max_speed": 0, "mobility_alpha": 1},
+    {"budget_compute": None, "budget_propulsion": None},
+    {"budget_compute": 60, "budget_propulsion": np.float64(210.0)},
+    {"mobility_mean_velocity": (-1.0, -2.5)},
+    {"deadline_range": (0.5, 0.5), "cycles_per_bit_range": (700.0, 700.0)},
+    {"data_bits_range": (0, 0)},
+    {"expected_fading": True},
+])
+def test_validate_accepts_numpy_and_integer_numbers_and_edge_values(
+        overrides):
+    cfg = desk_profile(**overrides)
+    for name, value in overrides.items():
+        assert getattr(cfg, name) == value
+
+
+def test_every_bound_names_a_field():
+    assert set(_BOUNDS) < set(ScenarioConfig.__dataclass_fields__)
+
+
+def test_from_dict_keeps_float_tuple_entries_and_the_digest():
+    """Tuples given with integer entries become floats, as JSON lists do,
+    so both spellings of a config hash alike."""
+    cfg = desk_profile(luav_position=(250, 250), deadline_range=[1, 1])
+    assert cfg.luav_position == (250.0, 250.0)
+    assert all(isinstance(x, float) for x in cfg.deadline_range)
+    assert cfg.digest() == desk_profile().digest()
 
 
 def test_validate_accepts_integer_sca_max_iters():
