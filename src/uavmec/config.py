@@ -159,6 +159,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NumPy numbers become the Python numbers they hold, so the
+        # config, its digest and a run's summary stay plain JSON
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.number):
+                setattr(self, f.name, value.item())
         self.validate()
 
     # ------------------------------------------------------------------
@@ -168,7 +174,12 @@ class ScenarioConfig:
             what = f"{f.name} entries" if isinstance(value, tuple) else f.name
             low, allowed = _BOUNDS.get(f.name, (-math.inf, True))
             for x in _numbers(f, value):
-                if not math.isfinite(x):   # NaN would pass every bound
+                try:
+                    finite = math.isfinite(x)   # NaN would pass every bound
+                except OverflowError:           # an integer past any float
+                    raise ValueError(f"{f.name} is too large for a float") \
+                        from None
+                if not finite:
                     raise ValueError(f"{f.name} must be finite")
                 if x < low or (x == low and not allowed):
                     raise ValueError(f"{what} must be "
@@ -257,12 +268,22 @@ class ScenarioConfig:
                 if target in data:
                     raise ValueError(f"give either {key} or {target}, not both")
                 value = data.pop(key)
-                data[target] = conv(value) if _is_number(value) else value
+                try:
+                    data[target] = conv(value) if _is_number(value) else value
+                except OverflowError:
+                    raise ValueError(f"{key} is too large: {target} "
+                                     "overflows a float") from None
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{name: _as_tuples(v) for name, v in data.items()})
+        for name, value in data.items():
+            try:
+                data[name] = _as_tuples(value)
+            except OverflowError:
+                raise ValueError(f"{name} entries are too large for a float") \
+                    from None
+        return cls(**data)
 
 
 # Lower bounds {name: (lowest, allowed)} of a value or of each tuple entry

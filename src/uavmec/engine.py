@@ -199,12 +199,15 @@ def _realize(world: World, profile: np.ndarray, alloc: AllocationResult,
 
 def run_slot(world: World, queues: QueueState,
              spec: ApproachSpec) -> tuple[SlotDecision, QueueState]:
-    """Decide, realize, and charge one slot; the world is not advanced."""
+    """Decide, realize, and charge one slot; the world is not advanced.
+
+    Stage 1 starts from ``world.profile``, the last slot's equilibrium.
+    """
     cfg = world.config
     d, eta, tmax = world.task_arrays()
     rates, phi = _slot_channel(world)
     ctx = build_game_context(world, queues, spec, rates)
-    stage1 = run_stage1(ctx)
+    stage1 = run_stage1(ctx, world.profile)
     profile, alloc = stage1.profile, stage1.allocation
 
     serving = world.suav_positions.copy()
@@ -292,6 +295,7 @@ def run_simulation(config: ScenarioConfig, approach: str,
                                decision.serving_positions.copy()))
 
         world.suav_positions = decision.next_positions.copy()
+        world.profile = decision.profile
         step_mobility(world)
         resample_tasks(world)
         world.slot += 1

@@ -16,6 +16,11 @@ touches.  Because the ordered double sum of one server equals
 1/2 [(sum x)^2 + sum x^2], the same sums give the potential of a server in
 closed form, and the strict-descent check on each move costs O(1).
 
+Stage 1 runs best-response sweeps from a given profile: the slot loop
+starts each slot's sweeps from the previous slot's equilibrium (all-local
+in the first slot).  Since the game has an exact potential, the sweeps
+reach a Nash equilibrium from any start (Monderer & Shapley 1996).
+
 A best response prices the S servers in one Python loop over Python floats:
 ``GameContext.ud_rows[m]`` holds UD m's per-server constants and
 ``MemberSums`` keeps the member sums as lists, so no NumPy call is made
@@ -308,7 +313,11 @@ class Stage1Result:
 
 def run_stage1(ctx: GameContext,
                initial: np.ndarray | None = None) -> Stage1Result:
-    """Best-response sweeps from the all-local profile to a fixed point.
+    """Best-response sweeps from ``initial`` to a fixed point.
+
+    ``initial`` defaults to the all-local profile; the slot loop passes the
+    previous slot's equilibrium, from which an exact potential game reaches
+    an equilibrium as it does from any other start.
 
     UDs are visited in ascending index order (Gauss-Seidel: every accepted
     move is visible to the next UD).  A UD moves only when a candidate

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
+from .game import LOCAL
 
 # one task per UD: the fields of a ``World.tasks`` record
 TASK = np.dtype([("data_bits", float), ("cycles_per_bit", float),
@@ -25,6 +26,8 @@ class World:
     ud_compute: np.ndarray         # (M,) cycles/s, fixed at build
     suav_positions: np.ndarray     # (N, 2) m
     tasks: np.recarray = None      # (M,) records of TASK
+    profile: np.ndarray = None     # (M,) offloading profile of the last
+                                   # decided slot, where stage 1 starts
     slot: int = 1
     mobility_rng: np.random.Generator = None
     task_rng: np.random.Generator = None
@@ -47,7 +50,8 @@ def build_scenario(config: ScenarioConfig) -> World:
 
     UD positions are uniform over the service area, initial velocities equal
     the mean velocity, and each UD's compute capability is drawn once from
-    ``ud_compute_options``.  The first slot's tasks are sampled immediately.
+    ``ud_compute_options``.  The first slot's tasks are sampled immediately,
+    and its offloading game starts from the all-local profile.
     """
     mob, task, fading, tie = _streams(config.seed)
     m = config.num_uds
@@ -66,6 +70,7 @@ def build_scenario(config: ScenarioConfig) -> World:
         task_rng=task,
         fading_rng=fading,
         tiebreak_rng=tie,
+        profile=np.full(m, LOCAL, dtype=int),
     )
     resample_tasks(world)
     return world

@@ -129,13 +129,18 @@ MALFORMED = [({"lyapunov_v": "5"}, "lyapunov_v must be a number"),
               "each suav_initial_positions entry needs exactly two"),
              ({"ud_compute_options": "abc"},
               "ud_compute_options must be a tuple"),
-             ({"ud_tx_power_dbm": "20"}, "ud_tx_power must be a number")]
+             ({"ud_tx_power_dbm": "20"}, "ud_tx_power must be a number"),
+             ({"ud_tx_power_dbm": 4000}, "ud_tx_power_dbm is too large"),
+             ({"lyapunov_v": 10 ** 400}, "lyapunov_v is too large"),
+             ({"data_bits_range": [1, 10 ** 400]},
+              "data_bits_range entries are too large")]
 
 
 @pytest.mark.parametrize("overrides, message", MALFORMED, ids=[
     "string-v", "null-gamma", "number-for-bool", "bool-for-number",
     "string-entries", "bool-entry", "number-for-pair", "flat-positions",
-    "string-options", "string-dbm"])
+    "string-options", "string-dbm", "overflowing-dbm", "401-digit-v",
+    "401-digit-entry"])
 def test_malformed_field_exits_naming_it(tmp_path, overrides, message):
     """A value of the wrong type or shape exits with a message, not a
     traceback, before any output is written."""

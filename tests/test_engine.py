@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from uavmec import compute as cm
-from uavmec import engine
+from uavmec import engine, game
 from uavmec.config import desk_profile, paper_profile
 from uavmec.engine import (APPROACH_IDS, APPROACHES, SlotDecision, _realize,
                            _slot_channel, build_game_context,
                            run_simulation, run_slot)
-from uavmec.game import LOCAL, run_stage1
+from uavmec.game import LOCAL, best_response, run_stage1
 from uavmec.lyapunov import dpp_objective, init_queues
 from uavmec.results import (slot_header, write_slot_csv, write_summary_json,
                             write_trajectory_csv)
@@ -457,15 +457,83 @@ def test_slot_failure_reports_slot_index(monkeypatch):
     original = eng.run_stage1
     calls = []
 
-    def flaky(ctx):
+    def flaky(ctx, initial):
         calls.append(1)
         if len(calls) == 2:
             raise ValueError("boom")
-        return original(ctx)
+        return original(ctx, initial)
 
     monkeypatch.setattr(eng, "run_stage1", flaky)
     with pytest.raises(RuntimeError, match="slot 2 failed: boom"):
         run_simulation(tiny_config(num_slots=4), "OJTRTA")
+
+
+@pytest.mark.parametrize("approach", APPROACH_IDS)
+def test_each_slot_starts_stage1_from_the_last_equilibrium(monkeypatch,
+                                                           approach):
+    """The world holds the offloading profile of the last decided slot:
+    all-local when built, left as it is by ``run_slot``, which starts stage
+    1 from it, and advanced by ``run_simulation``.  Stage 1 run again on a
+    slot's context from that slot's own equilibrium ends in one sweep with
+    no move."""
+    calls = []                    # (ctx, initial, result) per stage 1
+
+    def recorded(ctx, initial):
+        result = run_stage1(ctx, initial)
+        calls.append((ctx, initial, result))
+        return result
+
+    monkeypatch.setattr(engine, "run_stage1", recorded)
+    cfg = tiny_config(num_slots=3)
+    world = build_scenario(cfg)
+    start = world.profile
+    np.testing.assert_array_equal(start, np.full(cfg.num_uds, LOCAL))
+    queues = init_queues(cfg.num_suavs, *cfg.budget_split())
+    run_slot(world, queues, APPROACHES[approach])
+    assert calls[0][1] is start and world.profile is start
+    np.testing.assert_array_equal(start, LOCAL)
+
+    worlds = []
+
+    def built(config):
+        worlds.append(build_scenario(config))
+        return worlds[-1]
+
+    monkeypatch.setattr(engine, "build_scenario", built)
+    calls.clear()
+    run_simulation(cfg, approach)
+    assert len(calls) == cfg.num_slots
+    np.testing.assert_array_equal(calls[0][1], LOCAL)
+    for (_, _, last), (_, initial, _) in zip(calls, calls[1:]):
+        np.testing.assert_array_equal(initial, last.profile)
+    np.testing.assert_array_equal(worlds[0].profile, calls[-1][2].profile)
+
+    for ctx, _, result in calls:
+        again = run_stage1(ctx, result.profile)
+        assert (again.sweeps, again.moves) == (1, [])
+        np.testing.assert_array_equal(again.profile, result.profile)
+
+
+def test_stage1_work_ledger(monkeypatch):
+    """Stage 1's deterministic work over paper FLP, seed 0, 10 slots: the
+    best responses priced, and the sweeps and moves of every slot summed."""
+    priced = []
+    results = []
+
+    def counted(*args):
+        priced.append(1)
+        return best_response(*args)
+
+    def recorded(*args):
+        results.append(run_stage1(*args))
+        return results[-1]
+
+    monkeypatch.setattr(game, "best_response", counted)
+    monkeypatch.setattr(engine, "run_stage1", recorded)
+    run_simulation(paper_profile(num_slots=10, seed=0), "FLP")
+    assert len(results) == 10
+    assert (len(priced), sum(r.sweeps for r in results),
+            sum(len(r.moves) for r in results)) == (2589, 48, 421)
 
 
 # --- persistence ---
@@ -507,6 +575,16 @@ def test_summary_json_round_trip(tmp_path):
     assert [r["approach"] for r in doc["runs"]] == ["OJTRTA", "FLP"]
     assert doc["runs"][0]["tac"] == results[0].aggregates["tac"]
     assert doc["generator"]["name"] == "uavmec"
+
+
+def test_numpy_slot_count_runs_and_writes_a_plain_summary(tmp_path):
+    """A NumPy integer count hashes like the plain int and leaves a summary
+    of plain JSON numbers."""
+    res = run_simulation(desk_profile(num_slots=np.int64(1)), "FLP")
+    assert res.config.digest() == desk_profile(num_slots=1).digest()
+    write_summary_json([res], tmp_path / "summary.json")
+    doc = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert doc["config"]["num_slots"] == doc["runs"][0]["slots"] == 1
 
 
 def test_trajectory_csv_requires_trace(tmp_path):

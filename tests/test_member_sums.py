@@ -94,11 +94,13 @@ def reference_best_response(m, profile, ctx):
                         fallback=fallback)
 
 
-def reference_stage1(ctx):
-    """(profile, sweeps, moves, fallbacks, converged) of the rebuild loop,
-    and for each move the larger magnitude of the potential around it.
-    ``fallbacks`` are the (ud, server) pairs flagged in the last sweep."""
-    profile = np.full(ctx.n_uds, LOCAL, dtype=int)
+def reference_stage1(ctx, initial=None):
+    """(profile, sweeps, moves, fallbacks, converged) of the rebuild loop
+    from ``initial`` (all-local by default), and for each move the larger
+    magnitude of the potential around it.  ``fallbacks`` are the
+    (ud, server) pairs flagged in the last sweep."""
+    profile = (np.full(ctx.n_uds, LOCAL, dtype=int) if initial is None
+               else np.array(initial, dtype=int))
     moves, scales = [], []
     converged = False
     sweeps = 0
@@ -209,14 +211,14 @@ def test_best_response_deadline_test_is_exact_to_the_ulp():
     assert pinned > 5000
 
 
-def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed):
-    """run_stage1 against reference_stage1 under equal tie-break draws;
-    returns (moves, forced moves)."""
+def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed, initial=None):
+    """run_stage1 against reference_stage1 from the same ``initial`` profile
+    under equal tie-break draws; returns (result, moves, forced moves)."""
     ctx.tiebreak_rng = np.random.default_rng(rng_seed)
-    result = run_stage1(ctx)
+    result = run_stage1(ctx, initial)
     ctx.tiebreak_rng = np.random.default_rng(rng_seed)
     profile, sweeps, moves, fallbacks, converged, scales = \
-        reference_stage1(ctx)
+        reference_stage1(ctx, initial)
     np.testing.assert_array_equal(result.profile, profile)
     assert (result.sweeps, result.deadline_fallbacks, result.converged) \
         == (sweeps, fallbacks, converged)
@@ -230,14 +232,14 @@ def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed):
         for fast, ref, scale in zip(result.moves, moves, scales):
             assert abs(fast.delta_potential - ref.delta_potential) \
                 <= DPHI_RTOL * scale
-    return len(moves), sum(mv.forced for mv in moves)
+    return result, len(moves), sum(mv.forced for mv in moves)
 
 
 def test_stage1_matches_the_rebuild_loop():
     rng = np.random.default_rng(21)
     n_moves = n_forced = 0
     for i, ctx in enumerate(game_variants(rng)):
-        moves, forced = assert_stage1_matches_the_rebuild_loop(ctx, i)
+        _, moves, forced = assert_stage1_matches_the_rebuild_loop(ctx, i)
         n_moves += moves
         n_forced += forced
     assert n_moves > 500 and n_forced > 100
@@ -245,28 +247,43 @@ def test_stage1_matches_the_rebuild_loop():
 
 def test_stage1_matches_the_rebuild_loop_at_the_paper_shape():
     """Contexts of real paper-profile slots (M = 60, N = 4), every approach;
-    queue weights are nonzero from the second slot on."""
+    queue weights are nonzero from the second slot on.  Each context is
+    solved from all-local and, as in the slot loop, from its approach's
+    previous equilibrium (all-local in the first slot), so the warm starts
+    are held to the rebuild loop too: EO UDs forced off a server that no
+    longer meets their deadline, and ERA's uniform-share game."""
     n_moves = n_forced = 0
+    warm = dict.fromkeys(APPROACHES, 0)     # moves after a warm start
+    eo_warm_forced = 0
     for seed in (0, 1, 2):
         world = build_scenario(paper_profile(seed=seed))
         cfg = world.config
         queues = init_queues(cfg.num_suavs, *cfg.budget_split())
         rng = np.random.default_rng(seed)
-        for _ in range(3):
+        last = dict.fromkeys(APPROACHES, world.profile)
+        for slot in range(3):
             rates, _ = _slot_channel(world)
-            for spec in APPROACHES.values():
+            for name, spec in APPROACHES.items():
                 ctx = build_game_context(world, queues, spec, rates)
                 assert (ctx.n_uds, ctx.n_suavs) == (60, 4)
-                moves, forced = assert_stage1_matches_the_rebuild_loop(
+                _, moves, forced = assert_stage1_matches_the_rebuild_loop(
                     ctx, seed)
                 n_moves += moves
                 n_forced += forced
+                result, moves, forced = \
+                    assert_stage1_matches_the_rebuild_loop(ctx, seed,
+                                                           last[name])
+                last[name] = result.profile
+                if slot:
+                    warm[name] += moves
+                    eo_warm_forced += forced if name == "EO" else 0
             queues.q_c = rng.uniform(0.0, 3.0, cfg.num_suavs) \
                 * queues.budget_c
             step_mobility(world)
             resample_tasks(world)
             world.slot += 1
     assert n_moves > 3000 and n_forced > 500
+    assert min(warm.values()) > 100 and eo_warm_forced > 30
 
 
 def test_stage1_prices_a_stay_only_after_a_move(monkeypatch):
