@@ -10,14 +10,14 @@ each outer iteration replaces them with slack variables (zeta for rates, xi
 for the induced term) constrained by first-order tangent bounds taken at the
 previous iterate, yielding a small smooth convex program over all 2N
 positions jointly (the pairwise-separation constraint couples SUAVs).  The
-subproblem is solved with SLSQP plus an explicit KKT-residual audit.
+subproblem is solved with SLSQP, at up to three objective scales, plus an
+explicit KKT-residual audit.
 SciPy is imported inside the functions that call it, on the first solve,
 so a run that never moves a SUAV (FLP) never loads it.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -546,9 +546,9 @@ class _Subproblem:
 
 
 def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on its first call: a
-    module-level name that the benchmark's spans and tests can wrap or
-    replace while SciPy stays off ``uavmec``'s import path."""
+    """``scipy.optimize.minimize``, imported on its first call.  No slot
+    calls it: it is the tests' reference for ``_slsqp`` and a name the
+    benchmark's spans wrap, while SciPy stays off the import path."""
     from scipy.optimize import minimize
     return minimize(fun, x0, **kwargs)
 
@@ -609,12 +609,13 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
 
     Starts at the expansion point (always feasible: slacks initialized at
     their binding values).  SLSQP stalls on different instances depending on
-    how the objective is normalized, so the tiers are SLSQP on the objective
-    divided by max(1, |f(x0)|), SLSQP unscaled, then a trust-region pass.  A
-    tier's point that misses the contract gets a Newton polish; the first
-    tier that meets it ends the cascade.  Raises with the residuals of the
-    best tier if all fail.  ``layout`` is the slot's ``_Layout``, built
-    here when not given.
+    how the objective is normalized, so it runs on the objective divided by
+    max(1, f0), by 1, then by f0 / 100, where f0 = |f(x0)| (not floored: for
+    a small f0 a floor would repeat the first scales; f0 = 0 only where the
+    objective vanishes, and the first tier ends at x0).  A tier's point that
+    misses the contract gets a Newton polish; the first tier that meets it
+    ends the retries.  Raises with the residuals of the best tier if all
+    fail.  ``layout`` is the slot's ``_Layout``, built here when not given.
     """
     sub = _Subproblem(problem, expansion, layout)
     x0 = sub.initial_point()
@@ -628,38 +629,17 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
         return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas, f
 
     best = None
-    with warnings.catch_warnings():
-        # scipy chatters about clipped probe points and flat quasi-Newton
-        # updates; both are routine here and the audit gates the result.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        warnings.simplefilter("ignore", UserWarning)
-        for scale, method in ((max(1.0, f0), "SLSQP"), (1.0, "SLSQP"),
-                              (1.0, "trust-constr")):
-            sub.scale = scale
-            if method == "SLSQP":
-                x = _slsqp(sub, x0)
-            else:
-                # SLSQP stalls in flat directions (tiny position gradient
-                # under a huge queue-weighted slack gradient); a trust
-                # region driven deep from the exactly feasible expansion
-                # lands in the Newton basin
-                from scipy.optimize import NonlinearConstraint
-                x = minimize(sub.objective, x0, jac=sub.gradient,
-                             method=method, bounds=sub.bounds(),
-                             constraints=NonlinearConstraint(
-                                 sub.constraints, 0.0, np.inf,
-                                 jac=sub.constraints_jac),
-                             options={"gtol": 1e-14, "xtol": 1e-14,
-                                      "maxiter": 5000}).x
-            tier = audit(x)
-            if tier[0] > 1.0:
-                polished = audit(sub.kkt_polish(tier[1]))
-                if polished[0] < tier[0]:
-                    tier = polished
-            if best is None or tier[0] < best[0]:
-                best = tier
-            if tier[0] <= 1.0:
-                break
+    for scale in (max(1.0, f0), 1.0, f0 / 100.0):
+        sub.scale = scale
+        tier = audit(_slsqp(sub, x0))
+        if tier[0] > 1.0:
+            polished = audit(sub.kkt_polish(tier[1]))
+            if polished[0] < tier[0]:
+                tier = polished
+        if best is None or tier[0] < best[0]:
+            best = tier
+        if tier[0] <= 1.0:
+            break
     _, x, kkt, feas, f = best
     if kkt > KKT_TOL or feas > FEAS_TOL:
         raise RuntimeError(

@@ -287,6 +287,35 @@ def test_every_approach_completes_or_fails_loudly_on_random_small_configs():
     assert clean > 290
 
 
+STAGE2_GATE_CONFIGS = {
+    # OCQ at seed 982 once exhausted every solver tier in slot 2
+    "ocq-982": desk_profile(
+        num_uds=7, num_suavs=2,
+        suav_initial_positions=((125.0, 125.0), (245.0, 225.0)),
+        num_slots=3, deadline_range=(0.062383679082367714,
+                                     0.07727908334354497),
+        data_bits_range=(0.0, 1e6), lyapunov_v=3.0342416460194617,
+        seed=982),
+    # four SUAVs 250 m apart with d_min 244.65 m: the separation rows bind
+    "4-suav-separation": desk_profile(
+        num_uds=6, num_suavs=4, suav_initial_positions=FOUR_SITES,
+        num_slots=3, deadline_range=(0.2989923177710316,
+                                     0.4995617062223448),
+        suav_max_speed=25.0, min_separation=244.65408462197655,
+        lyapunov_v=118.96365552541337,
+        suav_energy_budget=322.7367437229712, seed=32360),
+}
+
+
+@pytest.mark.parametrize("approach", APPROACH_IDS)
+@pytest.mark.parametrize("name", sorted(STAGE2_GATE_CONFIGS))
+def test_stage2_gate_configs_complete_with_a_clean_audit(name, approach):
+    """Two valid configs on which stage 2 once failed its optimality
+    contract complete under every approach with no audit violation."""
+    res = run_simulation(STAGE2_GATE_CONFIGS[name], approach)
+    assert res.aggregates["audit_violations"] == 0
+
+
 def test_fading_stream_consumed_identically_across_approaches():
     cfg = tiny_config()
     w1 = build_scenario(cfg)

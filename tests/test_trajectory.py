@@ -1,11 +1,14 @@
 """Placement stage: surrogates, convex subproblem, and the outer SCA loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from uavmec import trajectory
 from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.config import desk_profile
+from uavmec.engine import run_simulation
 from uavmec.trajectory import (
     KKT_TOL, FEAS_TOL, SuavAssignment, TrajectoryProblem, _Subproblem,
     build_problem, run_stage2, solve_convex_subproblem, true_objective,
@@ -357,41 +360,78 @@ def test_expansion_point_feasible_but_not_stationary():
 # --- solver tiers ---
 
 def record_solver_methods(monkeypatch):
-    """Wrap the subproblem's ``minimize`` and ``_slsqp``; returns the
-    methods they ran, an ``_slsqp`` call as "SLSQP"."""
-    methods = []
+    """Wrap the subproblem's ``minimize`` and ``_slsqp``; returns the calls
+    they saw, ("minimize", method) or ("_slsqp", the objective's scale)."""
+    calls = []
     original, original_slsqp = trajectory.minimize, trajectory._slsqp
 
     def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
+        calls.append(("minimize", kwargs["method"]))
         return original(*args, **kwargs)
 
-    def recording_slsqp(*args, **kwargs):
-        methods.append("SLSQP")
-        return original_slsqp(*args, **kwargs)
+    def recording_slsqp(sub, *args, **kwargs):
+        calls.append(("_slsqp", sub.scale))
+        return original_slsqp(sub, *args, **kwargs)
 
     monkeypatch.setattr(trajectory, "minimize", recording)
     monkeypatch.setattr(trajectory, "_slsqp", recording_slsqp)
-    return methods
+    return calls
+
+
+def start_objective(prob):
+    """|f(x0)| of the subproblem expanded at the current positions."""
+    sub = _Subproblem(prob, prob.current_positions.copy())
+    return abs(sub.objective(sub.initial_point()))
 
 
 def test_subproblem_stops_at_the_first_tier_that_meets_the_contract(
         monkeypatch):
-    methods = record_solver_methods(monkeypatch)
+    calls = record_solver_methods(monkeypatch)
     prob = heavy_ud_problem()
     sol = solve_convex_subproblem(prob, prob.current_positions.copy())
     assert sol.kkt_residual <= KKT_TOL
-    assert methods == ["SLSQP"]
+    assert calls == [("_slsqp", max(1.0, start_objective(prob)))]
 
 
 def test_subproblem_runs_every_tier_then_raises_when_all_miss(monkeypatch):
     # a tolerance no residual can meet, so every tier misses the contract
     monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
-    methods = record_solver_methods(monkeypatch)
+    calls = record_solver_methods(monkeypatch)
     prob = heavy_ud_problem()
+    f0 = start_objective(prob)
+    assert f0 > 100.0                 # three distinct scales
     with pytest.raises(RuntimeError, match="failed its optimality contract"):
         solve_convex_subproblem(prob, prob.current_positions.copy())
-    assert methods == ["SLSQP", "SLSQP", "trust-constr"]
+    assert calls == [("_slsqp", f0), ("_slsqp", 1.0), ("_slsqp", f0 / 100.0)]
+
+
+def test_zero_objective_subproblem_ends_on_the_first_tier(monkeypatch):
+    """With no assigned UD and every propulsion queue at 0 the objective
+    vanishes (f0 = 0, where the last scale would be 0): the first tier
+    ends at the expansion point with a KKT residual of 0."""
+    calls = record_solver_methods(monkeypatch)
+    prob = heavy_ud_problem()
+    prob.assignments = [SuavAssignment(np.empty((0, 2)), np.empty(0),
+                                       np.empty(0))]
+    prob.queue_p = np.zeros(1)
+    assert start_objective(prob) == 0.0
+    sol = solve_convex_subproblem(prob, prob.current_positions.copy())
+    assert sol.kkt_residual == 0.0
+    np.testing.assert_array_equal(sol.positions, prob.current_positions)
+    assert calls == [("_slsqp", 1.0)]
+
+
+def test_stage2_raises_no_warning(monkeypatch):
+    """Stage 2 filters no warning, so a desk OJTRTA run and the heavy-UD
+    problem must not raise one, nor must every tier run on that problem."""
+    prob = heavy_ud_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_simulation(desk_profile(num_slots=10, seed=0), "OJTRTA")
+        assert run_stage2(prob).converged
+        monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
+        with pytest.raises(RuntimeError, match="optimality contract"):
+            solve_convex_subproblem(prob, prob.current_positions.copy())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

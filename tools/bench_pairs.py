@@ -21,7 +21,9 @@ tree).  With --trace 1 it holds the seed's traced pair, under
 or is merged into --out: the workload's entry (or its traced pair) is
 replaced and every other key, such as a title, a claim or another
 workload's traced pair, is kept.  Nothing in the repository is touched
-apart from --out.
+apart from --out.  Each pair keeps both runs' ``correct`` flag and exit
+status; when any run is not correct or exits non-zero, the JSON is still
+written and the script then exits 1, naming each such run's side and seed.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def git(*args, **kwargs) -> str:
@@ -59,7 +62,8 @@ def export(treeish: str, dest: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench/run.py run: its result line and its environment."""
+    """One bench/run.py run: its result line (with its ``correct`` flag),
+    its exit status and its environment."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -71,7 +75,7 @@ def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
     env.pop("seeds", None)
-    return {**result, "environment": env}
+    return {**result, "exit": proc.returncode, "environment": env}
 
 
 def pair(trees: dict, workload: str, seed: int, trace: int) -> dict:
@@ -87,11 +91,19 @@ def pair(trees: dict, workload: str, seed: int, trace: int) -> dict:
         for side in order), file=sys.stderr)
     return {"seed": seed, "first": first,
             "parent": values["parent"], "change": values["change"],
-            "parent_failed": runs["parent"]["failed"],
-            "change_failed": runs["change"]["failed"],
+            **{f"{side}_{key}": runs[side][key] for side in SIDES
+               for key in ("failed", "correct", "exit")},
             "attempted": [runs["parent"]["attempted"],
                           runs["change"]["attempted"]],
             "environment": runs["parent"]["environment"]}
+
+
+def faults(pairs: list) -> list:
+    """One line per run that is not ``correct`` or exited non-zero."""
+    return [f"{side} run, seed {p['seed']}: correct {p[side + '_correct']}, "
+            f"exit status {p[side + '_exit']}"
+            for p in pairs for side in SIDES
+            if not p[side + "_correct"] or p[side + "_exit"] != 0]
 
 
 def quartiles(values) -> dict:
@@ -152,8 +164,9 @@ def main(argv=None) -> int:
     doc["parent"] = {"commit": commit,
                      "src_tree": git("rev-parse", f"{commit}:src")}
     doc["change"] = {"src_tree": git("rev-parse", f"{tree}:src")}
+    runs = pairs + ([unused] if unused else [])
     doc["environment"] = pairs[0].pop("environment")
-    for p in pairs[1:] + ([unused] if unused else []):
+    for p in runs[1:]:
         p.pop("environment")
     command = (f"python3 bench/run.py --workload {args.workload} --seed n "
                f"--trace {args.trace}")
@@ -162,21 +175,24 @@ def main(argv=None) -> int:
         doc.setdefault("traced_pairs", {})[args.workload] = {
             "seed": p["seed"],
             "command": command.replace("--seed n", f"--seed {p['seed']}"),
-            "parent": p["parent"], "change": p["change"]}
+            "parent": p["parent"], "change": p["change"],
+            **{k: p[k] for k in p if k.endswith(("_correct", "_exit"))}}
     else:
         entry = {"command": command, "pairs": pairs,
                  "summary": summary(pairs, end_to_end)}
         if unused:
-            entry["unused_seed"] = {k: unused[k] for k in
-                                    ("seed", "parent", "change",
-                                     "parent_failed", "change_failed")}
+            entry["unused_seed"] = {k: v for k, v in unused.items()
+                                    if k not in ("first", "attempted")}
         doc.setdefault("workloads", {})[args.workload] = entry
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    bad = faults(runs)
+    for line in bad:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
