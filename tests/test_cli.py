@@ -39,19 +39,30 @@ def test_simulate_multiple_approaches_and_seeds(tmp_path):
 
 def test_flp_runs_without_loading_scipy(tmp_path):
     """SciPy is loaded on the first placement solve, not by ``import
-    uavmec``: FLP never moves a SUAV, so it runs on NumPy alone.  No
-    simulation loads the oracles of ``uavmec.verification``."""
+    uavmec``: FLP never moves a SUAV, so it runs on NumPy alone.  The
+    approaches that move SUAVs load only the compiled SLSQP/NNLS core:
+    ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` stay
+    unloaded.  No simulation loads the oracles of ``uavmec.verification``."""
     script = textwrap.dedent("""
         import sys
         from uavmec.cli import main
+        from uavmec.trajectory import _slsqplib
         out = sys.argv[1]
         assert main(["simulate", "--approach", "FLP", "--seeds", "0",
                      "--slots", "2", "--out", out + "/flp"]) == 0
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
-        assert main(["simulate", "--approach", "OJTRTA", "--seeds", "0",
-                     "--slots", "2", "--out", out + "/ojtrta"]) == 0
-        assert "scipy.optimize" in sys.modules
+        assert main(["simulate", "--approach", "OJTRTA,EO,ERA,OCQ",
+                     "--seeds", "0", "--slots", "2",
+                     "--out", out + "/moving"]) == 0
+        heavy = sorted(m for m in sys.modules
+                       if m.split(".")[:2] in (["scipy", "optimize"],
+                                               ["scipy", "sparse"],
+                                               ["scipy", "linalg"])
+                       and m != "scipy.optimize._slsqplib")
+        assert not heavy, heavy
+        core = _slsqplib.cache_info()
+        assert core.currsize == 1 and core.hits > 0, core
         assert "uavmec.verification" not in sys.modules
     """)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -59,7 +70,8 @@ def test_flp_runs_without_loading_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "ojtrta" / "slots_OJTRTA_0.csv").exists()
+    for approach in ("OJTRTA", "EO", "ERA", "OCQ"):
+        assert (tmp_path / "moving" / f"slots_{approach}_0.csv").exists()
 
 
 def test_simulate_trace_emits_trajectories(tmp_path):

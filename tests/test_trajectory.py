@@ -469,3 +469,46 @@ def test_slsqp_loop_equals_minimize_bit_for_bit():
                         seen["stopped_early"] |= res.status == 9
     assert seen == {"n": {1, 2, 3, 4}, "empty_suav": True, "no_zeta": True,
                     "segment_8": True, "stopped_early": True}
+
+
+def test_nnls_equals_scipys_bit_for_bit():
+    """``trajectory.nnls`` calls the compiled core with the inputs that
+    ``scipy.optimize.nnls`` hands it, so both return the same bits: tall
+    and wide A, and a b whose entries are all <= 0 (with A >= 0 the answer
+    is 0)."""
+    from scipy.optimize import nnls
+    rng = np.random.default_rng(21)
+    cases = [(rng.normal(size=(m, n)), rng.normal(size=m))
+             for m, n in ((12, 5), (30, 30), (4, 11), (1, 3)) for _ in range(5)]
+    cases.append((rng.uniform(0.0, 1.0, (6, 4)), -rng.uniform(0.0, 1.0, 6)))
+    # an integer, Fortran-ordered A is converted as SciPy converts it
+    cases.append((np.asfortranarray(rng.integers(-5, 6, (7, 3))),
+                  rng.normal(size=7)))
+    for a, b in cases:
+        x, rnorm = trajectory.nnls(a, b)
+        ref_x, ref_rnorm = nnls(a, b)
+        assert x.tobytes() == ref_x.tobytes()
+        assert rnorm == ref_rnorm
+    np.testing.assert_array_equal(trajectory.nnls(*cases[-2])[0], 0.0)
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        trajectory.nnls(bad, np.ones(3))
+    with pytest.raises(ValueError):
+        trajectory.nnls(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
+
+def test_missing_compiled_core_raises_import_error(monkeypatch, tmp_path):
+    """With no ``_slsqplib`` file in the directory searched, the loader
+    names that directory and SciPy's version instead of failing later."""
+    import scipy
+    (tmp_path / "optimize").mkdir()
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    trajectory._slsqplib.cache_clear()
+    try:
+        with pytest.raises(ImportError) as err:
+            trajectory._slsqplib()
+        assert str(tmp_path / "optimize") in str(err.value)
+        assert scipy.__version__ in str(err.value)
+    finally:
+        trajectory._slsqplib.cache_clear()
