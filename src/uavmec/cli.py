@@ -115,14 +115,21 @@ def cmd_sweep(args) -> int:
         _checked(dataclasses.replace, base, seed=seed)
     approaches = _approach_list(args.approach)
     points = []   # every point is validated before the first run
+    written = {}  # output directory -> the value that writes it
     for value in args.values:
         if type(getattr(base, field)) is int and value.is_integer():
             value = int(value)   # --values parses floats
-        points.append((value, _checked(ScenarioConfig.from_dict,
-                                       {**base.to_dict(), field: value})))
+        name = f"{field}_{value:g}"
+        if args.out and name in written:
+            raise SystemExit(f"--values {written[name]!r} and {value!r} "
+                             f"would both write {name}; give values that "
+                             "differ in their first six digits")
+        written[name] = value
+        points.append((value, name, _checked(
+            ScenarioConfig.from_dict, {**base.to_dict(), field: value})))
     clean = True
     rows = []
-    for value, config in points:
+    for value, name, config in points:
         results = _run_batch(config, approaches, seeds)
         print(f"--- {field} = {value:g} ---")
         _report(results)
@@ -130,8 +137,7 @@ def cmd_sweep(args) -> int:
         rows.append({"value": value,
                      "runs": [res.aggregates for res in results]})
         if args.out:
-            _write_outputs(results, os.path.join(args.out, f"{field}_{value:g}"),
-                           config)
+            _write_outputs(results, os.path.join(args.out, name), config)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.json")

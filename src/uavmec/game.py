@@ -28,6 +28,13 @@ per server (S is at most a handful, where NumPy's per-call cost would
 dominate).  Python and NumPy round float64 add, multiply and divide alike,
 so evaluating the same expressions in the same grouping gives the same bits
 as an array evaluation would; the tests hold it to an array reference.
+
+A best response returns only what a sweep reads (the minimizers, whether
+the UD's current strategy is still a candidate, and the fallback flag),
+and it skips the deadline test of any server other than the UD's own
+that is priced above the running best, since such a server can never be
+a minimizer.  The response that prices and tests every server, with its
+utilities and candidate set, is an oracle and lives in ``verification``.
 """
 from __future__ import annotations
 
@@ -193,25 +200,27 @@ def utility(m: int, strategy: int, profile: np.ndarray,
     return float(queue_term + ctx.beta[s, m] * sum_b + ctx.phi[s, m] * sum_p)
 
 
-@dataclass(slots=True)
-class BestResponse:
-    best: tuple            # all minimizers, ascending strategy order
-    best_utility: float
-    candidates: tuple      # feasible strategies (deadline-checked)
-    utilities: dict        # strategy -> utility over the candidates
-    fallback: bool = False  # no feasible edge and local disallowed
-
-
 def best_response(m: int, profile: np.ndarray, ctx: GameContext,
-                  sums: MemberSums) -> BestResponse:
-    """Best strategies for UD m holding everyone else fixed.
+                  sums: MemberSums) -> tuple:
+    """Best strategies for UD m holding everyone else fixed, as the three
+    things a sweep reads: ``(best, stays, fallback)``.
 
-    ``sums`` must hold the member sums of ``profile``; every server is then
-    priced in O(1).  Edge candidates must meet the task deadline under the
-    re-derived shares with m as a member; local computing is always a
-    candidate when allowed.  When nothing is feasible (entire-offloading
-    mode under pressure) every edge option becomes a candidate and the
-    result is flagged.
+    ``best`` holds all minimizers in ascending strategy order; ``stays``
+    says whether m's current strategy is still a candidate (a move off a
+    strategy that is not is forced); ``fallback`` flags a response with no
+    feasible edge and local computing disallowed.  ``sums`` must hold the
+    member sums of ``profile``; every server is then priced in O(1).  Edge
+    candidates must meet the task deadline under the re-derived shares
+    with m as a member; local computing is always a candidate when
+    allowed.  When nothing is feasible (entire-offloading mode under
+    pressure) every edge option becomes a candidate and the result is
+    flagged.
+
+    A server other than m's own that is priced above the running best is
+    not deadline-tested: the running best never rises, so it cannot be a
+    minimizer, and a running best exists only once local computing or a
+    feasible edge is a candidate, so the fallback is already ruled out.
+    ``verification.full_best_response`` prices and tests every server.
     """
     beta, phi, trans, exe, member_cost, energy, local_cost, empty = \
         ctx.ud_rows[m]
@@ -219,11 +228,10 @@ def best_response(m: int, profile: np.ndarray, ctx: GameContext,
     uniform = ctx.uniform_shares
     limit = float(ctx.deadline[m]) + DEADLINE_SLACK
     if ctx.allow_local:
-        best_u, best = local_cost, [LOCAL]
+        best_u, best, stays = local_cost, [LOCAL], cur == LOCAL
     else:
-        best_u, best = None, []
+        best_u, best, stays = None, [], False
     prices = []
-    utilities: dict[int, float] = {}   # feasible servers, then LOCAL
     for s, qw in enumerate(ctx.queue_weight_list):
         # member sums of s with m joined (m's own server unchanged)
         jb, jp, _, _, _ = sums.totals[s]
@@ -237,6 +245,8 @@ def best_response(m: int, profile: np.ndarray, ctx: GameContext,
         else:
             u = qw * energy + beta[s] * jb + phi[s] * jp
         prices.append(u)
+        if s != cur and best_u is not None and u > best_u:
+            continue        # priced out: its deadline decides nothing
         # completion delay under the re-derived shares against the deadline
         if empty:
             fits = 0.0 <= limit
@@ -248,27 +258,17 @@ def best_response(m: int, profile: np.ndarray, ctx: GameContext,
             # a zero share means an unbounded delay
             fits = w > 0.0 and z > 0.0 and trans[s] / w + exe[s] / z <= limit
         if fits:
-            utilities[s] = u
+            stays = stays or s == cur
             if best_u is None or u < best_u:
                 best_u, best = u, [s]
             elif u == best_u:
                 best.append(s)
 
-    fallback = False
-    if ctx.allow_local:
-        candidates = (LOCAL, *utilities)
-        utilities[LOCAL] = local_cost
-    elif utilities:
-        candidates = tuple(utilities)
-    else:
-        candidates = tuple(range(len(prices)))
-        utilities = dict(enumerate(prices))
+    if best_u is None:                # every edge a candidate, flagged
         best_u = min(prices)
-        best = [s for s in candidates if prices[s] == best_u]
-        fallback = True
-    return BestResponse(best=tuple(best), best_utility=best_u,
-                        candidates=candidates, utilities=utilities,
-                        fallback=fallback)
+        return (tuple(s for s, u in enumerate(prices) if u == best_u),
+                cur != LOCAL, True)
+    return tuple(best), stays, False
 
 
 def potential(profile: np.ndarray, ctx: GameContext) -> float:
@@ -363,17 +363,18 @@ def run_stage1(ctx: GameContext,
             if seen != len(moves):    # else m stayed and nothing has moved
                 br = best_response(m, strategy, ctx, sums)
                 last[m] = (len(moves), br)
-            if cur in br.best:
-                if br.fallback:
+            best, stays, fallback = br
+            if cur in best:
+                if fallback:
                     fallbacks.append((m, cur))
                 continue
-            if len(br.best) == 1:
-                target = br.best[0]
+            if len(best) == 1:
+                target = best[0]
             elif ctx.tiebreak_rng is not None:
-                target = br.best[int(ctx.tiebreak_rng.integers(len(br.best)))]
+                target = best[int(ctx.tiebreak_rng.integers(len(best)))]
             else:
-                target = br.best[0]
-            forced = cur not in br.candidates
+                target = best[0]
+            forced = not stays
             dphi = None
             if track_potential:
                 before = sums.move_potential(m, cur, (cur, target))
@@ -385,7 +386,7 @@ def run_stage1(ctx: GameContext,
                     raise RuntimeError(
                         f"potential failed to decrease on move of UD {m} "
                         f"({cur} -> {target}, delta={dphi:.3e})")
-            if br.fallback:
+            if fallback:
                 fallbacks.append((m, target))
             moves.append(MoveRecord(m, cur, target, dphi, forced))
             changed = True

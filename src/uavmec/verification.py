@@ -14,9 +14,10 @@ deadlines) that a well-behaved simulation rarely produces.
 
 The independent routes live here too, next to the suites that use them:
 the per-UD scalar delay and energy formulas, the simplex minimizer of the
-share objective, the Nash test, exhaustive PoA enumeration, the explicit
-surrogate and true constraint functions, and the grid search.  No slot
-module imports this one, so a simulation never loads them.
+share objective, the full-pricing best response, the Nash test,
+exhaustive PoA enumeration, the explicit surrogate and true constraint
+functions, and the grid search.  No slot module imports this one, so a
+simulation never loads them.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ import numpy as np
 from .allocation import AllocationResult, allocate
 from . import config
 from .compute import induced_speed_term, propulsion_power
-from .game import (GameContext, LOCAL, MemberSums, best_response, run_stage1,
-                   potential, utility)
+from .game import (DEADLINE_SLACK, GameContext, LOCAL, MemberSums,
+                   run_stage1, potential, utility)
 from .trajectory import (LOG2E, SuavAssignment, TrajectoryProblem,
                          run_stage2)
 
@@ -252,6 +253,87 @@ def allocation_suite(n_instances: int = 100, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
+@dataclass(slots=True)
+class BestResponse:
+    best: tuple            # all minimizers, ascending strategy order
+    best_utility: float
+    candidates: tuple      # feasible strategies (deadline-checked)
+    utilities: dict        # strategy -> utility over the candidates
+    fallback: bool = False  # no feasible edge and local disallowed
+
+
+def full_best_response(m: int, profile: np.ndarray, ctx: GameContext,
+                       sums: MemberSums) -> BestResponse:
+    """Best strategies for UD m holding everyone else fixed, with every
+    server priced and deadline-tested.
+
+    The route of ``is_nash`` and ``poa_measure``, which read the
+    utilities and candidate sets that ``game.best_response`` does not
+    build.  ``sums`` must hold the member sums of ``profile``; every
+    server is then priced in O(1).  Edge candidates must meet the task
+    deadline under the re-derived shares with m as a member; local
+    computing is always a candidate when allowed.  When nothing is
+    feasible (entire-offloading mode under pressure) every edge option
+    becomes a candidate and the result is flagged.
+    """
+    beta, phi, trans, exe, member_cost, energy, local_cost, empty = \
+        ctx.ud_rows[m]
+    cur = int(profile[m])
+    uniform = ctx.uniform_shares
+    limit = float(ctx.deadline[m]) + DEADLINE_SLACK
+    if ctx.allow_local:
+        best_u, best = local_cost, [LOCAL]
+    else:
+        best_u, best = None, []
+    prices = []
+    utilities: dict[int, float] = {}   # feasible servers, then LOCAL
+    for s, qw in enumerate(ctx.queue_weight_list):
+        # member sums of s with m joined (m's own server unchanged)
+        jb, jp, _, _, _ = sums.totals[s]
+        jn = sums.members[s]
+        if s != cur:
+            jb += beta[s]
+            jp += phi[s]
+            jn += 1
+        if uniform:
+            u = qw * energy + jn * member_cost[s]
+        else:
+            u = qw * energy + beta[s] * jb + phi[s] * jp
+        prices.append(u)
+        # completion delay under the re-derived shares against the deadline
+        if empty:
+            fits = 0.0 <= limit
+        elif uniform:
+            fits = jn * (trans[s] + exe[s]) <= limit
+        else:
+            w = phi[s] / jp if jp > 0 else 1.0 / jn
+            z = beta[s] / jb if jb > 0 else 1.0 / jn
+            # a zero share means an unbounded delay
+            fits = w > 0.0 and z > 0.0 and trans[s] / w + exe[s] / z <= limit
+        if fits:
+            utilities[s] = u
+            if best_u is None or u < best_u:
+                best_u, best = u, [s]
+            elif u == best_u:
+                best.append(s)
+
+    fallback = False
+    if ctx.allow_local:
+        candidates = (LOCAL, *utilities)
+        utilities[LOCAL] = local_cost
+    elif utilities:
+        candidates = tuple(utilities)
+    else:
+        candidates = tuple(range(len(prices)))
+        utilities = dict(enumerate(prices))
+        best_u = min(prices)
+        best = [s for s in candidates if prices[s] == best_u]
+        fallback = True
+    return BestResponse(best=tuple(best), best_utility=best_u,
+                        candidates=candidates, utilities=utilities,
+                        fallback=fallback)
+
+
 def is_nash(profile: np.ndarray, ctx: GameContext):
     """(True, None) if no UD has a strictly improving feasible deviation.
 
@@ -261,7 +343,7 @@ def is_nash(profile: np.ndarray, ctx: GameContext):
     profile = np.asarray(profile, dtype=int)
     sums = MemberSums(profile, ctx)
     for m in range(ctx.n_uds):
-        br = best_response(m, profile, ctx, sums)
+        br = full_best_response(m, profile, ctx, sums)
         cur = int(profile[m])
         if cur not in br.candidates:
             raise ValueError(
@@ -366,7 +448,7 @@ def poa_measure(ctx: GameContext, max_profiles: int = 1_000_000) -> PoaResult:
         equilibrium = True
         sums = MemberSums(profile, ctx)
         for m in range(m_total):
-            br = best_response(m, profile, ctx, sums)
+            br = full_best_response(m, profile, ctx, sums)
             cur = int(profile[m])
             if cur not in br.candidates:
                 feasible = False

@@ -35,6 +35,10 @@ SEEDS = tuple(range(10))
 # the TAC gaps across V are ~1e-4 relative.
 TIE_RTOL = 1e-9
 
+# Criterion 7's wall-time gate on the desk and M=40 fixtures together.  It
+# depends on host load, so its verdict line prints the margin.
+WALL_GATE_S = 600.0
+
 
 def at_most(a: float, b: float) -> bool:
     """`a <= b`, counting a and b equal within `TIE_RTOL` as a tie."""
@@ -178,14 +182,16 @@ def test_criterion_7_approach_orderings(desk_runs, m40_runs):
           and tac["OJTRTA"] <= tac["FLP"]
           and energy["OCQ"] >= energy["OJTRTA"]
           and all(lat40["EO"] > lat40[a] for a in APPROACH_LIST if a != "EO")
-          and elapsed < 600.0)
+          and elapsed < WALL_GATE_S)
     verdict(7, "cost/energy/latency orderings across approaches", ok,
             f"TAC {tac['OJTRTA']:.4f} vs EO {tac['EO']:.4f} / "
             f"ERA {tac['ERA']:.4f} / FLP {tac['FLP']:.4f}; "
             f"energy OCQ {energy['OCQ']:.1f}J >= {energy['OJTRTA']:.1f}J; "
             f"latency at M=40: EO {lat40['EO']:.4f}s vs best other "
             f"{max(v for k, v in lat40.items() if k != 'EO'):.4f}s; "
-            f"{elapsed:.0f}s elapsed")
+            f"{elapsed:.0f}s elapsed, {WALL_GATE_S - elapsed:.0f}s "
+            f"({WALL_GATE_S / elapsed:.1f}x) under the {WALL_GATE_S:.0f}s "
+            "gate")
 
 
 def test_criterion_8_v_tradeoff(v_sweep_runs):

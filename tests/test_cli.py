@@ -209,6 +209,20 @@ def test_sweep_writes_points(tmp_path):
     assert (out / "lyapunov_v_5000" / "summary.json").exists()
 
 
+def test_sweep_exits_when_two_points_share_a_directory(tmp_path):
+    """Point directories are named by six significant digits, so values
+    that agree in them would write one directory twice: the sweep exits
+    naming both values before the first run."""
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit,
+                       match=r"0\.0100001 and 0\.01000012 would both write "
+                             r"sca_tolerance_0\.0100001"):
+        main(["sweep", "--param", "sca_tolerance", "--values", "0.0100001",
+              "0.01000012", "--seeds", "0", "--slots", "1", "--out",
+              str(out)])
+    assert not out.exists()
+
+
 def test_sweep_passes_integer_fields_as_integers(tmp_path):
     out = tmp_path / "sw"
     rc = main(["sweep", "--param", "sca_max_iters", "--values", "1", "3",

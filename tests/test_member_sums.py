@@ -7,6 +7,9 @@ move recomputes the full ``potential``.  The arithmetic of the utilities,
 shares and deadline tests is unchanged, so the fast path must agree with
 them exactly; only ``delta_potential`` is computed another way (closed
 form), and it is held to the full-recompute difference within a tolerance.
+``verification.full_best_response`` must equal the reference outright, and
+``game.best_response``, which returns only what a sweep reads, must equal
+its ``sweep_view``.
 """
 import itertools
 
@@ -16,11 +19,12 @@ import pytest
 from uavmec import game
 from uavmec.config import paper_profile
 from uavmec.engine import APPROACHES, _slot_channel, build_game_context
-from uavmec.game import (DEADLINE_SLACK, LOCAL, BestResponse, MemberSums,
-                         MoveRecord, best_response, potential, run_stage1)
+from uavmec.game import (DEADLINE_SLACK, LOCAL, MemberSums, MoveRecord,
+                         best_response, potential, run_stage1)
 from uavmec.lyapunov import init_queues
 from uavmec.scenario import build_scenario, resample_tasks, step_mobility
-from uavmec.verification import random_game_context, random_profile
+from uavmec.verification import (BestResponse, full_best_response,
+                                 random_game_context, random_profile)
 
 # Closed form and ordered double sums add the same terms in another order,
 # so their potential differences part by rounding only: at most 1.6e-15
@@ -92,6 +96,22 @@ def reference_best_response(m, profile, ctx):
                         utilities={a: utilities[a] for a in utilities
                                    if a in candidates or a == LOCAL},
                         fallback=fallback)
+
+
+def sweep_view(br, cur):
+    """What ``game.best_response`` returns for a full response ``br`` of a
+    UD playing ``cur``: its minimizers, whether ``cur`` is a candidate, and
+    the fallback flag."""
+    return br.best, cur in br.candidates, br.fallback
+
+
+def assert_responses_match(m, profile, ctx, sums):
+    """Both routes against the rebuild for UD m; returns the reference."""
+    ref = reference_best_response(m, profile, ctx)
+    assert full_best_response(m, profile, ctx, sums) == ref
+    assert best_response(m, profile, ctx, sums) \
+        == sweep_view(ref, int(profile[m]))
+    return ref
 
 
 def reference_stage1(ctx, initial=None):
@@ -166,8 +186,7 @@ def test_best_response_matches_the_rebuild_exactly():
             profile = random_profile(ctx, rng)
             sums = MemberSums(profile, ctx)
             for m in range(ctx.n_uds):
-                assert best_response(m, profile, ctx, sums) \
-                    == reference_best_response(m, profile, ctx)
+                assert_responses_match(m, profile, ctx, sums)
                 checked += 1
     assert checked > 1500
 
@@ -187,28 +206,41 @@ def test_best_response_deadline_test_is_exact_to_the_ulp():
     """For every UD/server pair, deadlines whose limit (deadline +
     DEADLINE_SLACK) is exactly the reference completion time, so the edge
     just fits, or one ulp below it, so it just misses: a share or delay
-    that rounds differently from the reference changes a candidate set."""
+    that rounds differently from the reference changes a candidate set.
+    ``game.best_response`` skips the deadline test of a priced-out server
+    other than the UD's own, so each pair is also pinned with that server
+    as the UD's current strategy, where its ``stays`` flag reports the
+    test's outcome whatever the server's price."""
     rng = np.random.default_rng(26)
-    pinned = 0
+    pinned = pairs = flips = 0
     for ctx in game_variants(rng):
-        profile = random_profile(ctx, rng)
-        sums = MemberSums(profile, ctx)
-        delays = [[reference_delay(m, s, joined_sums(m, profile, ctx), ctx)
-                   for s in range(ctx.n_servers)] for m in range(ctx.n_uds)]
+        base = random_profile(ctx, rng)
+        base_sums = MemberSums(base, ctx)
         for s in range(ctx.n_servers):
-            for below in (False, True):
-                for m in range(ctx.n_uds):
-                    limit = delays[m][s]
-                    if below:
-                        limit = np.nextafter(limit, -np.inf)
-                    deadline = deadline_at(limit)
-                    if deadline is None or deadline <= 0.0:
-                        continue
-                    ctx.deadline[m] = deadline
-                    pinned += 1
-                    assert best_response(m, profile, ctx, sums) \
-                        == reference_best_response(m, profile, ctx)
-    assert pinned > 5000
+            for m in range(ctx.n_uds):
+                on_s = base.copy()
+                on_s[m] = s
+                for profile, sums in ((base, base_sums),
+                                      (on_s, MemberSums(on_s, ctx))):
+                    delay = reference_delay(
+                        m, s, joined_sums(m, profile, ctx), ctx)
+                    views = []
+                    for below in (False, True):
+                        limit = (np.nextafter(delay, -np.inf) if below
+                                 else delay)
+                        deadline = deadline_at(limit)
+                        if deadline is None or deadline <= 0.0:
+                            continue
+                        ctx.deadline[m] = deadline
+                        pinned += 1
+                        ref = assert_responses_match(m, profile, ctx, sums)
+                        views.append(sweep_view(ref, int(profile[m])))
+                    if profile is on_s and len(views) == 2:
+                        pairs += 1
+                        flips += views[0] != views[1]
+    # with the server as the current strategy, the fast response sees
+    # every pinned deadline decide: just fitting and just missing differ
+    assert pinned > 10000 and flips == pairs > 2500
 
 
 def assert_stage1_matches_the_rebuild_loop(ctx, rng_seed, initial=None):
@@ -384,9 +416,9 @@ def test_context_fields_read_live_and_fields_that_need_a_rebuild():
     sums = MemberSums(profile, ctx)
 
     def respond():
-        br = best_response(0, profile, ctx, sums)
-        assert br == reference_best_response(0, profile, ctx)
-        return br
+        """The full response, with both routes held to the reference."""
+        assert_responses_match(0, profile, ctx, sums)
+        return full_best_response(0, profile, ctx, sums)
 
     base = respond()
     assert base.candidates == (LOCAL, *range(ctx.n_servers))
@@ -403,7 +435,9 @@ def test_context_fields_read_live_and_fields_that_need_a_rebuild():
 
     # rates feed the per-UD rows: no effect until __post_init__ reruns
     ctx.rates *= 0.5
-    assert best_response(0, profile, ctx, sums) == base
+    assert full_best_response(0, profile, ctx, sums) == base
+    assert best_response(0, profile, ctx, sums) \
+        == sweep_view(base, int(profile[0]))
     ctx.__post_init__()
     sums = MemberSums(profile, ctx)
     assert respond().utilities != base.utilities

@@ -5,8 +5,9 @@ from uavmec import compute as cm
 from uavmec.allocation import allocate
 from uavmec.game import (LOCAL, MemberSums, best_response, potential,
                          run_stage1, utility)
-from uavmec.verification import (edge_delay, edge_ud_energy, is_nash,
-                                 local_delay, local_energy, poa_measure,
+from uavmec.verification import (edge_delay, edge_ud_energy,
+                                 full_best_response, is_nash, local_delay,
+                                 local_energy, poa_measure,
                                  random_game_context, random_profile)
 
 
@@ -71,10 +72,13 @@ def test_best_response_prunes_deadline_violations():
     ctx = random_game_context(rng)
     ctx.deadline[:] = 1e-9   # nothing fits on any edge
     profile = np.full(ctx.n_uds, LOCAL)
-    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
+    sums = MemberSums(profile, ctx)
+    br = full_best_response(0, profile, ctx, sums)
     assert br.candidates == (LOCAL,)
     assert br.best == (LOCAL,)
     assert not br.fallback
+    # best, whether LOCAL is still a candidate, fallback
+    assert best_response(0, profile, ctx, sums) == ((LOCAL,), True, False)
 
 
 def test_forced_offloading_falls_back_when_nothing_fits():
@@ -83,9 +87,12 @@ def test_forced_offloading_falls_back_when_nothing_fits():
     ctx.allow_local = False
     ctx.deadline[:] = 1e-9
     profile = np.zeros(ctx.n_uds, dtype=int)
-    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
+    sums = MemberSums(profile, ctx)
+    br = full_best_response(0, profile, ctx, sums)
     assert br.fallback
     assert set(br.candidates) == set(range(ctx.n_servers))
+    # every server a candidate, so the UD's infeasible server 0 too
+    assert best_response(0, profile, ctx, sums) == (br.best, True, True)
     result = run_stage1(ctx)
     assert len(result.deadline_fallbacks) > 0
     assert np.all(result.profile != LOCAL)
@@ -177,9 +184,9 @@ def test_symmetric_servers_tie_break_deterministically():
     ctx.queue_weight[1] = ctx.queue_weight[0]
     ctx.__post_init__()
     profile = np.full(ctx.n_uds, LOCAL)
-    br = best_response(0, profile, ctx, MemberSums(profile, ctx))
-    if 0 in br.best and len(br.best) >= 2:
-        assert 1 in br.best
+    best, _, _ = best_response(0, profile, ctx, MemberSums(profile, ctx))
+    if 0 in best and len(best) >= 2:
+        assert 1 in best
     ctx.tiebreak_rng = np.random.default_rng(123)
     first = run_stage1(ctx).profile
     ctx.tiebreak_rng = np.random.default_rng(123)

@@ -11,6 +11,9 @@
 #          per-slot UD and SUAV positions (trajectory_*.csv) are compared too
 #   paper: FLP and ERA, seeds 0-4
 #   paper: OJTRTA, seed 0, 20 slots
+#   paper: EO and OCQ, seeds 0-1, 20 slots, so stage 1 without local
+#          computing (EO) and with zero queue weights (OCQ) is compared
+#          at M = 60 too
 #   desk with binding deadlines (deadline_range (0.05, 0.15) s,
 #   data_bits_range (0, 1e6) bits): every approach, seeds 0-2
 #   paper with the same binding deadlines: EO and ERA, seeds 0-1, 20 slots,
@@ -79,6 +82,8 @@ run_all() {    # <source tree> <output dir>
         --seeds 0 1 2 3 4
     simulate "$1" "$2/paper-ojtrta" --profile paper --approach OJTRTA \
         --seeds 0 --slots 20
+    simulate "$1" "$2/paper-eo-ocq" --profile paper --approach EO,OCQ \
+        --seeds 0 1 --slots 20
     simulate "$1" "$2/desk-binding" --profile desk --approach all \
         --config "$tmp/binding.json" --seeds 0 1 2
     simulate "$1" "$2/paper-binding" --profile paper --approach EO,ERA \
