@@ -37,6 +37,7 @@ FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-6          # the audit's active rows: slack / row norm
 POLISH_ACTIVE_TOL = 1e-5   # kkt_polish's first working set
 POLISH_ROUNDS = 4          # kkt_polish's working-set repairs
+KKT_SYSTEMS_KEPT = 6       # a polish's point and its five damped trials
 XI_FLOOR = 1e-2
 ZETA_FLOOR = 1e-9
 
@@ -138,14 +139,16 @@ class SubproblemSolution:
     kkt_residual: float
 
 
-_EYE2 = np.eye(2).ravel()
+def _norm_rows(a):
+    """``np.linalg.norm(a, axis=1)``, the same sums without its wrapper."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 class _Layout:
     """What the assignment fixes for every subproblem of one stage-2 call.
 
     Sizes, bounds, the UDs' data concatenated SUAV by SUAV with an owner
-    index, the SUAV pairs and the flat indices of the Jacobian and Hessian
+    index, the SUAV pairs and the indices of the Jacobian and Hessian
     entries depend only on who is assigned where, which stays fixed over
     the SCA iterations of a slot, so ``run_stage2`` builds them once.
     """
@@ -177,13 +180,19 @@ class _Layout:
         # the curved rows (induced, rate, speed) each read the position of
         # SUAV s: s is i, the owner and i
         pos_idx = 2 * np.concatenate([rows, owner, rows])[:, None] + [0, 1]
-        # Jacobian: the constant entries (f_lin, the -1 of each zeta, the
-        # separation rows) at const_idx; the xi diagonal and the position
-        # entries of the rate and speed rows vary, at var_idx
-        sep = (2 * n + k + np.arange(n_pairs))[:, None] * nv
-        self.const_idx = np.concatenate([
-            (rows[:, None] * nv + pos_idx[:n]).ravel(),
+        # Jacobian, above the finite variable bounds' rows (1 at (m + r,
+        # 2N + r)): the -1 of each zeta is in the template; the entries
+        # the expansion sets (f_lin, the separation rows) are at exp_idx;
+        # the xi diagonal and the position entries of the rate and speed
+        # rows vary, at var_idx
+        bound = np.arange(nv - 2 * n)
+        self.kkt_template = np.zeros((m + len(bound), nv))
+        self.kkt_template.flat[np.concatenate([
             (n + np.arange(k)) * nv + 3 * n + np.arange(k),
+            (m + bound) * nv + 2 * n + bound])] = [-1.0] * k + [1.0] * (n + k)
+        sep = (2 * n + k + np.arange(n_pairs))[:, None] * nv
+        self.exp_idx = np.concatenate([
+            (rows[:, None] * nv + pos_idx[:n]).ravel(),
             (sep + 2 * self.pair_i[:, None] + [0, 1]).ravel(),
             (sep + 2 * self.pair_j[:, None] + [0, 1]).ravel()])
         self.var_idx = np.concatenate([
@@ -192,12 +201,10 @@ class _Layout:
         self.var_row = self.var_idx // nv
         # the same entries in SLSQP's column-major (m, n_var) matrix
         self.var_idx_f = self.var_idx % nv * m + self.var_row
-        self.bound_rows = np.eye(nv)[2 * n:]
-        # Hessian targets: the 2x2 position block of each SUAV, and the
-        # block of the SUAV each rate or speed row reads
-        block = 2 * rows[:, None] * (nv + 1) + [0, 1, nv, nv + 1]
-        self.block_idx = block.ravel()
-        self.row_block = block[np.concatenate([owner, rows])]
+        # Hessian targets: the off-diagonal pair of each SUAV's 2x2 position
+        # block, and the block's first index for each rate and speed row
+        self.off_idx = (2 * rows[:, None] * (nv + 1) + [1, nv]).ravel()
+        self.row_pos = (2 * np.concatenate([owner, rows])).tolist()
         # Python floats for the evaluations
         self.cur_xy = [(2 * i, cx, cy) for i, (cx, cy)
                        in enumerate(problem.current_positions.tolist())]
@@ -219,10 +226,17 @@ class _Subproblem:
     them.  Each value is computed with the same floating-point operations,
     in the same order, as the per-SUAV formulas, so results are bit-for-bit
     those of the formulas (tests/test_subproblem_kernels.py keeps them as
-    the oracle).  Three rules keep it so: the sums are NumPy's
+    the oracle).  Four rules keep it so: the sums are NumPy's
     ``np.add.reduce`` over arrays, the parasite cube is NumPy's array ``**``
-    (which rounds unlike scalar ``pow``), and the separation rows keep
-    ``np.dot`` on 2-vectors (BLAS may fuse its multiply-add).
+    (which rounds unlike scalar ``pow``), the separation rows keep
+    ``np.dot`` on 2-vectors (BLAS may fuse its multiply-add), and the
+    Hessians write Python-float entries except the zeta cubes of their
+    diagonal, which are NumPy's array ``**`` too (it rounds unlike ``z*z*z``
+    and unlike scalar ``pow``).
+
+    The last few ``_kkt_system`` results are kept, keyed by the point's
+    bytes and ``scale``, so an audit and the polish that follows it, or a
+    polish's last step and the audit of its result, build one system.
 
     Constraint rows are ordered: induced-term surrogates (N), rate
     surrogates (K, SUAV by SUAV), speed balls (N), separations (pairs).
@@ -237,7 +251,7 @@ class _Subproblem:
         self.cur = problem.current_positions
         self.dt = dt = problem.dt
         diff = self.exp - self.cur
-        self.v_exp = np.linalg.norm(diff, axis=1) / dt
+        self.v_exp = _norm_rows(diff) / dt
         self.xi_exp = induced_speed_term(self.v_exp, p.prop_c3)
         self.f_lin = 2.0 / dt ** 2 * diff          # (N,2)
         # rate-surrogate coefficients at the expansion, one entry per UD
@@ -246,7 +260,6 @@ class _Subproblem:
         den = p.altitude ** 2 + self.g_d2exp
         self.g_exp = np.log2(1.0 + lay.phi / den)
         self.g_slope = lay.phi * LOG2E / (den * (den + lay.phi))
-        self._row_curv = np.concatenate([self.g_slope, np.ones(n)])
         self.pair_e = self.exp[lay.pair_i] - self.exp[lay.pair_j]
         # derived scalars and vectors of the objective and the rows
         self.coef = p.queue_p * dt
@@ -261,14 +274,17 @@ class _Subproblem:
                       p.prop_c4, self.dt3, p.prop_c1)
         self._grad_pos = (6.0 * p.prop_c1 / (self.tip2 * self.dt2),
                           3.0 * p.prop_c4, self.dt3)
-        self._coef = self.coef.tolist()
-        self._grad_xi = (self.coef * p.prop_c2).tolist()
-        xi_exp2 = 2.0 * self.xi_exp
-        self._xi_exp2 = xi_exp2.tolist()
-        self._induced = list(zip(*(a.tolist() for a in (
-            self.f_lin[:, 0], self.f_lin[:, 1], xi_exp2, self.xi_exp ** 2,
-            self.v_exp ** 2))))
+        self._coef = coef = self.coef.tolist()
+        td2, c1, c4 = self.tip2 * self.dt2, p.prop_c1, p.prop_c4
+        self._hess_pos = [(c * 6.0 * c1 / td2, c * 3.0 * c4 / self.dt3)
+                          for c in coef]
+        self._grad_xi = [c * p.prop_c2 for c in coef]
+        self._induced = [(fx, fy, 2.0 * xe, xe * xe, v * v) for (fx, fy), xe, v
+                         in zip(self.f_lin.tolist(), self.xi_exp.tolist(),
+                                self.v_exp.tolist())]
+        self._xi_exp2 = [row[2] for row in self._induced]
         g_exp, g_slope = self.g_exp.tolist(), self.g_slope.tolist()
+        self._row_curv = g_slope + [1.0] * n
         self._rates = [(o, ux, uy, ge, gs, gd) for (o, ux, uy), ge, gs, gd
                        in zip(lay.uds, g_exp, g_slope, self.g_d2exp.tolist())]
         self._seps = [(i, j, e, float(np.dot(e, e)))
@@ -277,16 +293,24 @@ class _Subproblem:
         # norm, so the solver's feasibility precision is relative; scaled,
         # it is the template above the finite bound rows, whose varying
         # entries every use overwrites
-        jac = np.zeros((lay.n_con, lay.n_var))
-        jac.flat[lay.const_idx] = np.concatenate([
-            self.f_lin.ravel(), np.full(lay.n_zeta, -1.0),
-            (2.0 * self.pair_e).ravel(), (-2.0 * self.pair_e).ravel()])
+        x0 = self.initial_point()
         self.scale = 1.0
-        jac.flat[lay.var_idx] = self.derivatives(self.initial_point())[1]
-        self.con_scale = 1.0 / (1.0 + np.linalg.norm(jac, axis=1))
-        self._kkt_a = np.vstack([jac * self.con_scale[:, None],
-                                 lay.bound_rows])
+        f0, c0 = self.evaluate(x0)
+        g0, jv0 = self.derivatives(x0)
+        self._kkt_a = lay.kkt_template.copy()
+        jac = self._kkt_a[:lay.n_con]
+        jac.flat[lay.exp_idx] = np.concatenate([
+            self.f_lin.ravel(), (2.0 * self.pair_e).ravel(),
+            (-2.0 * self.pair_e).ravel()])
+        jac.flat[lay.var_idx] = jv0
+        self.con_scale = 1.0 / (1.0 + _norm_rows(jac))
+        jac *= self.con_scale[:, None]
         self._var_scale = self.con_scale[lay.var_row]
+        self._con_scale = self.con_scale.tolist()
+        # the start's evaluation at scale 1, which a solve from an unclipped
+        # x0 reuses: x0's bytes, f, the scaled rows and the gradient
+        self._at_x0 = (x0.tobytes(), f0, np.multiply(c0, self.con_scale), g0)
+        self._systems = {}
 
     # -- the evaluations ----------------------------------------------------
     def evaluate(self, x):
@@ -388,10 +412,10 @@ class _Subproblem:
         """
         q, _, _ = self.unpack(x)
         d = q - self.cur
-        dist = np.linalg.norm(d, axis=1)
+        dist = _norm_rows(d)
         limit = self.p.v_max * self.dt
         over = dist > limit
-        if np.any(over):
+        if over.any():
             x = x.copy()
             q = q.copy()
             q[over] = self.cur[over] \
@@ -402,63 +426,77 @@ class _Subproblem:
     # -- second derivatives (for the Newton finisher) -------------------------
     def objective_hessian(self, x):
         """Hessian of the raw (unscaled) objective."""
-        q, xi, zeta = self.unpack(x)
-        p = self.p
-        lay = self.lay
-        h = np.zeros((lay.n_var, lay.n_var))
-        zi = 3 * self.n + np.arange(lay.n_zeta)
-        h[zi, zi] = 2.0 * lay.w / zeta ** 3
-        d = q - self.cur
-        dist = np.linalg.norm(d, axis=1)
-        blade = self.coef * 6.0 * p.prop_c1 / (self.tip2 * self.dt2)
-        block = blade[:, None] * _EYE2
-        m = dist > 1e-12
-        if m.any():
-            dm, rm = d[m], dist[m][:, None]
-            outer = (dm[:, :, None] * dm[:, None, :]).reshape(-1, 4)
-            parasite = self.coef[m] * 3.0 * p.prop_c4 / self.dt3
-            block[m] = block[m] + parasite[:, None] * (rm * _EYE2
-                                                       + outer / rm)
-        h.flat[lay.block_idx] += block.ravel()
-        return h
+        return self.lagrangian_hessian(x, (), ())
 
     def lagrangian_hessian(self, x, rows, lam):
         """Hessian of f - sum lam_k c_k over the given constraint rows.
 
-        Bound rows and separation rows are linear and add nothing.  Terms
-        that land on one entry are added in the order of ``rows``.
+        Bound rows and separation rows are linear and add nothing.  Each
+        entry is 0.0 plus its objective term, then plus its rows' terms in
+        the order of ``rows``.  A curved row's zero terms off the diagonal
+        are left out: for a finite multiplier they change no entry.
         """
-        _, xi, _ = self.unpack(x)
-        h = self.objective_hessian(x)
-        rows = np.asarray(rows, dtype=int)
-        lam = np.asarray(lam, dtype=float)
-        keep = (rows < 2 * self.n + self.lay.n_zeta) & (lam != 0.0)
-        rows = rows[keep]
-        s = lam[keep] * self.con_scale[rows]
-        ind = rows < self.n                       # induced-term surrogates
-        if ind.any():
-            i = rows[ind]
-            quart = np.array([xi[j] ** 4 for j in i])
-            np.add.at(h.reshape(-1),
-                      (2 * self.n + i) * (self.lay.n_var + 1),
-                      s[ind] * 6.0 * self.p.prop_c3 / quart)
-        curved = ~ind                             # rate surrogates, speed
-        if curved.any():
-            r = rows[curved] - self.n
-            m = s[curved] * 2.0 * self._row_curv[r]
-            np.add.at(h.reshape(-1), self.lay.row_block[r].ravel(),
-                      (m[:, None] * _EYE2).ravel())
+        lay, n = self.lay, self.n
+        nv = lay.n_var
+        h = np.zeros((nv, nv))
+        diag = h.reshape(-1)[::nv + 1]
+        diag[3 * n:] = 2.0 * lay.w / x[3 * n:] ** 3
+        q = x[:2 * n].tolist()
+        pos, off = [], []
+        for (i, cx, cy), (blade, parasite) in zip(lay.cur_xy, self._hess_pos):
+            dx, dy = q[i] - cx, q[i + 1] - cy
+            dist = math.sqrt(dx * dx + dy * dy)
+            if dist > 1e-12:
+                pos += (0.0 + (blade + parasite * (dist + dx * dx / dist)),
+                        0.0 + (blade + parasite * (dist + dy * dy / dist)))
+                off += [parasite * (dx * dy / dist) + 0.0] * 2
+            else:
+                pos += (0.0 + blade, 0.0 + blade)
+                off += (0.0, 0.0)
+        xi = [0.0] * n
+        rows = np.asarray(rows, dtype=int).tolist()
+        if rows:
+            xs = x[2 * n:3 * n].tolist()
+            curved, c3 = 2 * n + lay.n_zeta, self.p.prop_c3
+            con_scale, curv, row_pos = self._con_scale, self._row_curv, \
+                lay.row_pos
+            for r, l in zip(rows, np.asarray(lam, dtype=float).tolist()):
+                if r >= curved or l == 0.0:
+                    continue
+                s = l * con_scale[r]
+                if r < n:                         # induced-term surrogate
+                    xi[r] += s * 6.0 * c3 / xs[r] ** 4
+                else:                             # rate surrogate, speed
+                    m = s * 2.0 * curv[r - n]
+                    o = row_pos[r - n]
+                    pos[o] += m
+                    pos[o + 1] += m
+        diag[:3 * n] = pos + xi
+        h.reshape(-1)[lay.off_idx] = off
         return h
 
     def _kkt_system(self, x):
-        """(a, c, grad, f) at x: the scaled constraint rows above the finite
-        variable bounds, as matrix and values, and the gradient and value of
-        the raw (unscaled) objective."""
-        f, rows = self.evaluate(x)
-        g, jv = self.derivatives(x)
-        c = np.concatenate([np.multiply(rows, self.con_scale),
-                            x[2 * self.n:] - self.lay.lb[2 * self.n:]])
-        return self._kkt_jac(jv), c, g * self.scale, f * self.scale
+        """(a, c, grad, f, rn) at x: the scaled constraint rows above the
+        finite variable bounds, as matrix and values, the gradient and value
+        of the raw (unscaled) objective, and 1 + each row's norm.  The
+        arrays are shared with the kept systems, so they are read-only."""
+        key = (x.tobytes(), self.scale)
+        systems = self._systems
+        system = systems.pop(key, None)
+        if system is None:
+            f, rows = self.evaluate(x)
+            g, jv = self.derivatives(x)
+            c = np.concatenate([np.multiply(rows, self.con_scale),
+                                x[2 * self.n:] - self.lay.lb[2 * self.n:]])
+            a, g = self._kkt_jac(jv), g * self.scale
+            rn = 1.0 + _norm_rows(a)
+            for arr in (a, c, g, rn):
+                arr.flags.writeable = False
+            system = (a, c, g, f * self.scale, rn)
+            if len(systems) == KKT_SYSTEMS_KEPT:
+                del systems[next(iter(systems))]
+        systems[key] = system
+        return system
 
     def kkt_polish(self, x):
         """Newton iterations on the active-set KKT system.
@@ -470,29 +508,30 @@ class _Subproblem:
         """
         x = np.asarray(x, dtype=float).copy()
         nv = self.lay.n_var
-        a, c, grad, _ = self._kkt_system(x)
-        rn = 1.0 + np.linalg.norm(a, axis=1)
+        a, c, grad, _, rn = self._kkt_system(x)
         work = np.flatnonzero(c / rn <= POLISH_ACTIVE_TOL)
-        lam, _ = nnls(a[work].T, grad) if len(work) else (np.zeros(0), 0.0)
+        aw = a[work]
+        lam, _ = nnls(aw.T, grad) if len(work) else (np.zeros(0), 0.0)
 
-        def residual(a, c, grad, lam, work):
-            stat = grad - a[work].T @ lam if len(work) else grad
+        def residual(aw, c, grad, lam):
+            stat = grad - aw.T @ lam if len(work) else grad
             return np.concatenate([stat, c[work]])
 
-        # a, c and grad always belong to the current x
+        # a, c and grad always belong to the current x, aw to it and the
+        # working set, res and err to them and lam
+        res = residual(aw, c, grad, lam)
+        err = math.sqrt(res.dot(res))
         for _ in range(POLISH_ROUNDS):
             for _ in range(30):
-                res = residual(a, c, grad, lam, work)
-                err = np.linalg.norm(res)
-                if err < 1e-12 * (1.0 + np.abs(grad).max()):
+                if err < 1e-12 * (1.0 + abs(grad).max()):
                     break
                 h = self.lagrangian_hessian(x, work, lam)
                 k = len(work)
                 kkt = np.zeros((nv + k, nv + k))
                 kkt[:nv, :nv] = h
                 if k:
-                    kkt[:nv, nv:] = -a[work].T
-                    kkt[nv:, :nv] = a[work]
+                    kkt[:nv, nv:] = -aw.T
+                    kkt[nv:, :nv] = aw
                 rhs = -res
                 try:
                     step = np.linalg.solve(kkt, rhs)
@@ -503,24 +542,33 @@ class _Subproblem:
                 for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
                     x_new = x + damp * step[:nv]
                     lam_new = lam + damp * step[nv:]
-                    a_new, c_new, grad_new, _ = self._kkt_system(x_new)
-                    if np.linalg.norm(residual(a_new, c_new, grad_new,
-                                               lam_new, work)) < err:
-                        x, lam = x_new, lam_new
+                    a_new, c_new, grad_new, _, _ = self._kkt_system(x_new)
+                    aw_new = a_new[work]
+                    res_new = residual(aw_new, c_new, grad_new, lam_new)
+                    err_new = math.sqrt(res_new.dot(res_new))
+                    if err_new < err:
+                        x, lam, aw = x_new, lam_new, aw_new
                         a, c, grad = a_new, c_new, grad_new
+                        res, err = res_new, err_new
                         improved = True
                         break
                 if not improved:
                     break
-            # working-set repair
-            rn = 1.0 + np.linalg.norm(a, axis=1)
+            # working-set repair; looking x's system up again keeps it
+            # among the kept ones for the audit of the result
+            rn = self._kkt_system(x)[4]
             neg = lam < -1e-9
-            violated = np.setdiff1d(np.flatnonzero(c / rn < -1e-12), work)
-            if not neg.any() and len(violated) == 0:
+            listed = set(work.tolist())
+            violated = [i for i in np.flatnonzero(c / rn < -1e-12).tolist()
+                        if i not in listed]
+            if not neg.any() and not violated:
                 break
             keep = ~neg
-            work = np.concatenate([work[keep], violated]).astype(int)
+            work = np.concatenate([work[keep], np.array(violated, dtype=int)])
             lam = np.concatenate([lam[keep], np.zeros(len(violated))])
+            aw = a[work]
+            res = residual(aw, c, grad, lam)
+            err = math.sqrt(res.dot(res))
         return x
 
     # -- KKT audit -----------------------------------------------------------
@@ -536,17 +584,15 @@ class _Subproblem:
         is the worst scaled row violation, and the objective is raw.
         """
         # variable lower bounds enter as extra constraint rows
-        a, c, grad, f = self._kkt_system(x)
+        a, c, grad, f, rn = self._kkt_system(x)
         cons = c[:self.lay.n_con]
-        row_norm = 1.0 + np.linalg.norm(a, axis=1)
-        active = c / row_norm <= ACTIVE_TOL
+        active = c / rn <= ACTIVE_TOL
         lam = np.zeros(len(c))
-        if np.any(active):
+        if active.any():
             lam[active], _ = nnls(a[active].T, grad)
-        stat = np.max(np.abs(grad - a.T @ lam)) / (1.0 + np.max(np.abs(grad)))
-        comp = np.max(lam * np.abs(c)) \
-            / (1.0 + abs(f))
-        feas = max(0.0, -np.min(cons)) if len(cons) else 0.0
+        stat = abs(grad - a.T @ lam).max() / (1.0 + abs(grad).max())
+        comp = (lam * abs(c)).max() / (1.0 + abs(f))
+        feas = max(0.0, -cons.min()) if len(cons) else 0.0
         return float(max(stat, comp, feas)), feas, f
 
 
@@ -601,7 +647,9 @@ def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     bit for bit (tests/test_trajectory.py holds it to ``minimize``).  The
     core's requests are answered by ``sub.evaluate`` (mode 1) and
     ``sub.derivatives`` (mode -1) directly; the Jacobian's constant entries
-    are written once, since the core leaves them alone.
+    are written once, since the core leaves them alone.  A start that the
+    bounds leave at ``sub``'s own x0 reuses its evaluation there, and the
+    template's varying entries, which hold the Jacobian at x0.
     """
     slsqp = _slsqplib().slsqp
     lay = sub.lay
@@ -624,18 +672,27 @@ def _slsqp(sub: _Subproblem, x0, maxiter: int = 400) -> np.ndarray:
     jac = np.array(sub._kkt_a[:m], order="F")
     jac_f = jac.reshape(-1, order="F")          # a view, column-major
     d = np.empty(m)
-    fx, c = sub.evaluate(x)
-    np.multiply(c, sub.con_scale, out=d)
-    g, jv = sub.derivatives(x)
-    jac_f[lay.var_idx_f] = np.multiply(jv, sub._var_scale)
+    evaluate, derivatives = sub.evaluate, sub.derivatives
+    con_scale, var_scale = sub.con_scale, sub._var_scale
+    var_idx_f = lay.var_idx_f
+    start, f0, d0, g0 = sub._at_x0
+    if x.tobytes() == start:
+        fx, g = f0 / sub.scale, g0 / sub.scale
+        d[:] = d0
+    else:
+        fx, c = evaluate(x)
+        np.multiply(c, con_scale, out=d)
+        g, jv = derivatives(x)
+        jac_f[var_idx_f] = np.multiply(jv, var_scale)
     while True:
         slsqp(state, fx, g, jac, d, x, mult, xl, xu, buffer, indices)
-        if state["mode"] == 1:
-            fx, c = sub.evaluate(x)
-            np.multiply(c, sub.con_scale, out=d)
-        elif state["mode"] == -1:
-            g, jv = sub.derivatives(x)
-            jac_f[lay.var_idx_f] = np.multiply(jv, sub._var_scale)
+        mode = state["mode"]
+        if mode == 1:
+            fx, c = evaluate(x)
+            np.multiply(c, con_scale, out=d)
+        elif mode == -1:
+            g, jv = derivatives(x)
+            jac_f[var_idx_f] = np.multiply(jv, var_scale)
         else:
             return x
 
@@ -657,7 +714,7 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
     """
     sub = _Subproblem(problem, expansion, layout)
     x0 = sub.initial_point()
-    f0 = abs(sub.objective(x0))
+    f0 = abs(sub._at_x0[1])                     # the objective at x0
 
     def audit(x):
         """(score, x, KKT residual, feasibility, raw objective) at the

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uavmec import compute as cm
-from uavmec import engine, game
+from uavmec import engine, game, trajectory
 from uavmec.config import desk_profile, paper_profile
 from uavmec.engine import (APPROACH_IDS, APPROACHES, SlotDecision, _realize,
                            _slot_channel, build_game_context,
@@ -563,6 +563,31 @@ def test_stage1_work_ledger(monkeypatch):
     assert len(results) == 10
     assert (len(priced), sum(r.sweeps for r in results),
             sum(len(r.moves) for r in results)) == (2589, 48, 421)
+
+
+def test_stage2_work_ledger(monkeypatch):
+    """Stage 2's deterministic work over desk OJTRTA, seed 0, 10 slots: the
+    subproblems solved, the SLSQP runs, the Newton polishes and the
+    polishes' least-squares fallbacks from a singular KKT matrix."""
+    calls = dict.fromkeys(("subproblems", "slsqp", "polishes", "lstsq"), 0)
+
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(trajectory, "solve_convex_subproblem", "subproblems")
+    count(trajectory, "_slsqp", "slsqp")
+    count(trajectory._Subproblem, "kkt_polish", "polishes")
+    count(np.linalg, "lstsq", "lstsq")      # only the polish calls it
+    run_simulation(desk_profile(num_slots=10, seed=0), "OJTRTA")
+    # no polish of this run meets a singular KKT matrix; the lstsq branch
+    # is held to its loop form in tests/test_subproblem_kernels.py
+    assert calls == {"subproblems": 57, "slsqp": 57, "polishes": 29,
+                     "lstsq": 0}
 
 
 # --- persistence ---

@@ -182,11 +182,14 @@ def test_symmetric_servers_tie_break_deterministically():
     ctx.rates[1] = ctx.rates[0]
     ctx.f_max[1] = ctx.f_max[0]
     ctx.queue_weight[1] = ctx.queue_weight[0]
+    # a slow LUAV link for UD 0, so that from all-local its best response
+    # is the two SUAVs, tied
+    ctx.rates[2, 0] = ctx.rates[0, 0] / 100.0
     ctx.__post_init__()
+    assert ctx.n_suavs == 2
     profile = np.full(ctx.n_uds, LOCAL)
-    best, _, _ = best_response(0, profile, ctx, MemberSums(profile, ctx))
-    if 0 in best and len(best) >= 2:
-        assert 1 in best
+    best = best_response(0, profile, ctx, MemberSums(profile, ctx))
+    assert best == ((0, 1), True, False)
     ctx.tiebreak_rng = np.random.default_rng(123)
     first = run_stage1(ctx).profile
     ctx.tiebreak_rng = np.random.default_rng(123)

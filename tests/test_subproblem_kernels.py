@@ -11,6 +11,8 @@ import pytest
 from scipy.optimize import minimize, nnls
 
 from uavmec.compute import induced_speed_term, propulsion_power
+from uavmec.config import desk_profile
+from uavmec.engine import run_simulation
 from uavmec.trajectory import (LOG2E, XI_FLOOR, ZETA_FLOOR,
                                TrajectoryProblem, _Layout, _Subproblem,
                                true_objective)
@@ -438,3 +440,59 @@ def test_kkt_polish_equals_the_loop_form_from_solver_output():
             assert np.array_equal(x, ref.kkt_polish(res.x))
             polished += not np.array_equal(x, res.x)
     assert polished
+
+
+def desk_polish_inputs(monkeypatch):
+    """(problem, expansion, scale, x) of every Newton polish in desk OJTRTA,
+    seed 5, 15 slots: the subproblems whose solver point misses the
+    contract, with singular KKT matrices and working-set repairs among
+    them."""
+    inputs = []
+    polish = _Subproblem.kkt_polish
+
+    def recorded(sub, x):
+        inputs.append((sub.p, sub.exp.copy(), sub.scale, x.copy()))
+        return polish(sub, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Subproblem, "kkt_polish", recorded)
+        run_simulation(desk_profile(num_slots=15, seed=5), "OJTRTA")
+    return inputs
+
+
+def test_kkt_polish_equals_the_loop_form_on_desk_instances(monkeypatch):
+    """On real subproblems the Newton finisher, the Hessians at its working
+    sets and the audit at its input and output are the loop forms' to the
+    bit, through the polish's least-squares fallback and its repairs."""
+    lstsq = np.linalg.lstsq
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return lstsq(*args, **kwargs)
+
+    inputs = desk_polish_inputs(monkeypatch)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    repaired = fell_back = 0
+    for prob, exp_q, scale, x in inputs:
+        sub, ref = _Subproblem(prob, exp_q), LoopSubproblem(prob, exp_q)
+        sub.scale = ref.scale = scale
+        hessians = []
+        hessian = sub.lagrangian_hessian
+
+        def recorded(x, rows, lam):
+            h = hessian(x, rows, lam)
+            hessians.append((x.copy(), np.array(rows), np.array(lam), h))
+            return h
+
+        sub.lagrangian_hessian = recorded
+        fallbacks.clear()
+        out = sub.kkt_polish(x)
+        fell_back += bool(fallbacks)
+        assert np.array_equal(out, ref.kkt_polish(x))
+        for point in (x, out):
+            assert sub.kkt_residual(point)[0] == ref.kkt_residual(point)
+        for at, rows, lam, h in hessians:
+            assert np.array_equal(h, ref.lagrangian_hessian(at, rows, lam))
+        repaired += len({rows.tobytes() for _, rows, _, _ in hessians}) > 1
+    assert len(inputs) > 20 and fell_back and repaired

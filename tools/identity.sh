@@ -23,6 +23,11 @@
 #   desk with zero-size tasks (data_bits_range (0, 0)): every approach,
 #         seeds 0-1, 10 slots, so EO's tie-break draws and the
 #         allocation's uniform-share fallback are compared too
+#   the two stage-2 gate configs of tests/test_engine.py, every approach:
+#         OCQ seed 982's 7-UD desk config and the 4-SUAV config whose
+#         separation rows bind, so the solver's later tiers, the Newton
+#         polish's working-set repairs and binding separation rows are
+#         compared too
 #   verify: the four oracle suites' lines at seeds 0 and 1, with each
 #         line's trailing runtime stripped, so the independent routes
 #         are compared too
@@ -48,6 +53,23 @@ done
 # zero-size tasks cost nothing on any server, so EO's UDs tie: stage 1
 # draws its tie-breaks and the allocation falls back to uniform shares
 echo '{"data_bits_range": [0.0, 0.0]}' > "$tmp/empty.json"
+# STAGE2_GATE_CONFIGS in tests/test_engine.py, over the desk profile
+cat > "$tmp/ocq-982.json" <<'JSON'
+{"num_uds": 7, "num_suavs": 2,
+ "suav_initial_positions": [[125.0, 125.0], [245.0, 225.0]],
+ "num_slots": 3, "deadline_range": [0.062383679082367714, 0.07727908334354497],
+ "data_bits_range": [0.0, 1e6], "lyapunov_v": 3.0342416460194617,
+ "seed": 982}
+JSON
+cat > "$tmp/4-suav-separation.json" <<'JSON'
+{"num_uds": 6, "num_suavs": 4,
+ "suav_initial_positions": [[125.0, 125.0], [375.0, 375.0], [125.0, 375.0],
+                            [375.0, 125.0]],
+ "num_slots": 3, "deadline_range": [0.2989923177710316, 0.4995617062223448],
+ "suav_max_speed": 25.0, "min_separation": 244.65408462197655,
+ "lyapunov_v": 118.96365552541337,
+ "suav_energy_budget": 322.7367437229712, "seed": 32360}
+JSON
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -94,6 +116,10 @@ run_all() {    # <source tree> <output dir>
     done
     simulate "$1" "$2/desk-empty" --profile desk --approach all \
         --config "$tmp/empty.json" --seeds 0 1 --slots 10
+    simulate "$1" "$2/gate-ocq-982" --profile desk --approach all \
+        --config "$tmp/ocq-982.json" --seeds 982
+    simulate "$1" "$2/gate-4-suav-separation" --profile desk \
+        --approach all --config "$tmp/4-suav-separation.json" --seeds 32360
     for seed in 0 1; do
         verify "$1" "$2/verify-seed$seed.txt" "$seed"
     done
