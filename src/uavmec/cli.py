@@ -106,6 +106,9 @@ def cmd_sweep(args) -> int:
     field = _SWEEP_ALIASES.get(args.param, args.param)
     if field not in ScenarioConfig.__dataclass_fields__:
         raise SystemExit(f"unknown sweep parameter {args.param!r}")
+    if field == "seed":   # each run's seed comes from --seeds
+        raise SystemExit("sweep parameter 'seed' would be overridden by "
+                         "--seeds; give the seeds with --seeds instead")
     base = _build_config(args)
     if isinstance(getattr(base, field), tuple):
         raise SystemExit(f"sweep parameter {field!r} is tuple-valued; "

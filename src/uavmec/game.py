@@ -33,8 +33,9 @@ A best response returns only what a sweep reads (the minimizers, whether
 the UD's current strategy is still a candidate, and the fallback flag),
 and it skips the deadline test of any server other than the UD's own
 that is priced above the running best, since such a server can never be
-a minimizer.  The response that prices and tests every server, with its
-utilities and candidate set, is an oracle and lives in ``verification``.
+a minimizer.  ``verification``'s Nash test and PoA enumeration call it
+too, so this is the one routine that prices and deadline-tests a best
+response.
 """
 from __future__ import annotations
 
@@ -220,7 +221,7 @@ def best_response(m: int, profile: np.ndarray, ctx: GameContext,
     not deadline-tested: the running best never rises, so it cannot be a
     minimizer, and a running best exists only once local computing or a
     feasible edge is a candidate, so the fallback is already ruled out.
-    ``verification.full_best_response`` prices and tests every server.
+    The oracles' Nash test and PoA enumeration read the same three things.
     """
     beta, phi, trans, exe, member_cost, energy, local_cost, empty = \
         ctx.ud_rows[m]

@@ -707,7 +707,9 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
     how the objective is normalized, so it runs on the objective divided by
     max(1, f0), by 1, then by f0 / 100, where f0 = |f(x0)| (not floored: for
     a small f0 a floor would repeat the first scales; f0 = 0 only where the
-    objective vanishes, and the first tier ends at x0).  A tier's point that
+    objective vanishes, and the first tier ends at x0).  A scale equal to an
+    earlier one (1 when f0 <= 1, or f0 / 100 when f0 = 100) is not run
+    again: it would repeat that tier's point bit for bit.  A tier's point that
     misses the contract gets a Newton polish; the first tier that meets it
     ends the retries.  Raises with the residuals of the best tier if all
     fail.  ``layout`` is the slot's ``_Layout``, built here when not given.
@@ -724,7 +726,7 @@ def solve_convex_subproblem(problem: TrajectoryProblem, expansion,
         return max(kkt / KKT_TOL, feas / FEAS_TOL), x, kkt, feas, f
 
     best = None
-    for scale in (max(1.0, f0), 1.0, f0 / 100.0):
+    for scale in dict.fromkeys((max(1.0, f0), 1.0, f0 / 100.0)):
         sub.scale = scale
         tier = audit(_slsqp(sub, x0))
         if tier[0] > 1.0:

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py keeps each run's correctness and exit status."""
+"""tools/bench_pairs.py keeps each run's correctness and exit status, and
+summarizes each metric by side and by pair."""
 
 import importlib.util
 import json
@@ -67,3 +68,21 @@ def test_main_writes_the_json_then_fails_naming_the_bad_runs(
     entry = json.loads(out.read_text())["workloads"]["desk-ojtrta"]
     assert [p["parent_correct"] for p in entry["pairs"]] == [True, False]
     assert entry["unused_seed"]["change_exit"] == 2
+
+
+def test_summary_reports_quartiles_of_the_pair_ratios(bench_pairs):
+    """The parent drifts from 10 to 24 across the pairs while each change
+    run reads 0.9 of its pair's parent but one: the sides' quartiles
+    overlap and the median gap is below the parent's spread, but the
+    pair ratios do not spread."""
+    par = [10.0, 12.0, 16.0, 20.0, 24.0]
+    chg = [9.0, 10.8, 14.4, 18.0, 24.0]
+    pairs = [{"parent": {"slot_ms_p50": p}, "change": {"slot_ms_p50": c}}
+             for p, c in zip(par, chg)]
+    metric = {"name": "slot_ms_p50", "better": "lower", "bound": 0.25}
+    out = bench_pairs.summary(pairs, [metric])["slot_ms_p50"]
+    assert out["parent_quartile_spread"] > out["median_gap"]
+    assert out["change"]["q3"] > out["parent"]["q1"]
+    assert out["pair_ratio_change_over_parent"] \
+        == bench_pairs.quartiles([0.9, 0.9, 0.9, 0.9, 1.0])
+    assert out["pair_ratio_change_over_parent"]["q3"] == pytest.approx(0.9)

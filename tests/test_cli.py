@@ -240,6 +240,17 @@ def test_sweep_rejects_unknown_param():
         main(["sweep", "--param", "warp_factor", "--values", "1"])
 
 
+def test_sweep_rejects_seed_as_its_param(tmp_path):
+    """--seeds sets every run's seed, so a swept seed would be ignored and
+    each point would rerun the same seeds: the sweep exits before the
+    first run, pointing to --seeds."""
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit, match="--seeds"):
+        main(["sweep", "--param", "seed", "--values", "1", "2", "--slots",
+              "1", "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["deadline_range", "luav_position"])
 def test_sweep_rejects_tuple_valued_param(field):
     with pytest.raises(SystemExit, match=field):

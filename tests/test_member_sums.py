@@ -7,11 +7,12 @@ move recomputes the full ``potential``.  The arithmetic of the utilities,
 shares and deadline tests is unchanged, so the fast path must agree with
 them exactly; only ``delta_potential`` is computed another way (closed
 form), and it is held to the full-recompute difference within a tolerance.
-``verification.full_best_response`` must equal the reference outright, and
-``game.best_response``, which returns only what a sweep reads, must equal
-its ``sweep_view``.
+``reference_best_response`` prices and tests every server and keeps the
+utilities and candidate sets; ``game.best_response``, which returns only
+what a sweep reads, must equal its ``sweep_view``.
 """
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from uavmec.game import (DEADLINE_SLACK, LOCAL, MemberSums, MoveRecord,
                          best_response, potential, run_stage1)
 from uavmec.lyapunov import init_queues
 from uavmec.scenario import build_scenario, resample_tasks, step_mobility
-from uavmec.verification import (BestResponse, full_best_response,
-                                 random_game_context, random_profile)
+from uavmec.verification import (own_utility, random_game_context,
+                                 random_profile)
 
 # Closed form and ordered double sums add the same terms in another order,
 # so their potential differences part by rounding only: at most 1.6e-15
@@ -63,6 +64,16 @@ def reference_delay(m, s, joined, ctx):
                  + ctx.exec_base[s, m] / z_share)
 
 
+@dataclass(frozen=True)
+class Response:
+    """A best response with every server priced and deadline-tested."""
+    best: tuple            # all minimizers, ascending strategy order
+    best_utility: float
+    candidates: tuple      # feasible strategies (deadline-checked)
+    utilities: dict        # strategy -> utility over the candidates
+    fallback: bool         # no feasible edge and local disallowed
+
+
 def reference_best_response(m, profile, ctx):
     joined = joined_sums(m, profile, ctx)
     joined_b, joined_p, joined_n = joined
@@ -91,11 +102,11 @@ def reference_best_response(m, profile, ctx):
         fallback = True
     best_u = min(utilities[a] for a in candidates)
     best = tuple(sorted(a for a in candidates if utilities[a] == best_u))
-    return BestResponse(best=best, best_utility=best_u,
-                        candidates=tuple(candidates),
-                        utilities={a: utilities[a] for a in utilities
-                                   if a in candidates or a == LOCAL},
-                        fallback=fallback)
+    return Response(best=best, best_utility=best_u,
+                    candidates=tuple(candidates),
+                    utilities={a: utilities[a] for a in utilities
+                               if a in candidates or a == LOCAL},
+                    fallback=fallback)
 
 
 def sweep_view(br, cur):
@@ -106,9 +117,9 @@ def sweep_view(br, cur):
 
 
 def assert_responses_match(m, profile, ctx, sums):
-    """Both routes against the rebuild for UD m; returns the reference."""
+    """``game.best_response`` against the rebuild for UD m; returns the
+    reference."""
     ref = reference_best_response(m, profile, ctx)
-    assert full_best_response(m, profile, ctx, sums) == ref
     assert best_response(m, profile, ctx, sums) \
         == sweep_view(ref, int(profile[m]))
     return ref
@@ -189,6 +200,23 @@ def test_best_response_matches_the_rebuild_exactly():
                 assert_responses_match(m, profile, ctx, sums)
                 checked += 1
     assert checked > 1500
+
+
+def test_own_utility_equals_the_reference_utility():
+    """``verification.own_utility``, which ``poa_measure`` sums, prices a
+    UD's own strategy as the reference does, to the bit."""
+    rng = np.random.default_rng(27)
+    checked = 0
+    for ctx in game_variants(rng):
+        profile = random_profile(ctx, rng)
+        sums = MemberSums(profile, ctx)
+        for m in range(ctx.n_uds):
+            cur = int(profile[m])
+            utilities = reference_best_response(m, profile, ctx).utilities
+            if cur in utilities:
+                assert own_utility(m, cur, ctx, sums) == utilities[cur]
+                checked += 1
+    assert checked > 800
 
 
 def deadline_at(limit):
@@ -416,9 +444,8 @@ def test_context_fields_read_live_and_fields_that_need_a_rebuild():
     sums = MemberSums(profile, ctx)
 
     def respond():
-        """The full response, with both routes held to the reference."""
-        assert_responses_match(0, profile, ctx, sums)
-        return full_best_response(0, profile, ctx, sums)
+        """The reference response, with the slot route held to it."""
+        return assert_responses_match(0, profile, ctx, sums)
 
     base = respond()
     assert base.candidates == (LOCAL, *range(ctx.n_servers))
@@ -435,9 +462,7 @@ def test_context_fields_read_live_and_fields_that_need_a_rebuild():
 
     # rates feed the per-UD rows: no effect until __post_init__ reruns
     ctx.rates *= 0.5
-    assert full_best_response(0, profile, ctx, sums) == base
-    assert best_response(0, profile, ctx, sums) \
-        == sweep_view(base, int(profile[0]))
+    assert respond() == base
     ctx.__post_init__()
     sums = MemberSums(profile, ctx)
     assert respond().utilities != base.utilities

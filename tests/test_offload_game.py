@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from uavmec import compute as cm
 from uavmec.allocation import allocate
 from uavmec.game import (LOCAL, MemberSums, best_response, potential,
                          run_stage1, utility)
-from uavmec.verification import (edge_delay, edge_ud_energy,
-                                 full_best_response, is_nash, local_delay,
-                                 local_energy, poa_measure,
+from uavmec.verification import (edge_delay, edge_ud_energy, is_nash,
+                                 local_delay, local_energy, poa_measure,
                                  random_game_context, random_profile)
+
+from test_member_sums import reference_best_response
 
 
 def compositional_utility(m, s, profile, ctx):
@@ -73,7 +76,7 @@ def test_best_response_prunes_deadline_violations():
     ctx.deadline[:] = 1e-9   # nothing fits on any edge
     profile = np.full(ctx.n_uds, LOCAL)
     sums = MemberSums(profile, ctx)
-    br = full_best_response(0, profile, ctx, sums)
+    br = reference_best_response(0, profile, ctx)
     assert br.candidates == (LOCAL,)
     assert br.best == (LOCAL,)
     assert not br.fallback
@@ -88,7 +91,7 @@ def test_forced_offloading_falls_back_when_nothing_fits():
     ctx.deadline[:] = 1e-9
     profile = np.zeros(ctx.n_uds, dtype=int)
     sums = MemberSums(profile, ctx)
-    br = full_best_response(0, profile, ctx, sums)
+    br = reference_best_response(0, profile, ctx)
     assert br.fallback
     assert set(br.candidates) == set(range(ctx.n_servers))
     # every server a candidate, so the UD's infeasible server 0 too
@@ -212,6 +215,54 @@ def test_poa_measurement_on_small_instances():
         assert res.worst_nash_value >= res.optimum_value - 1e-12
         measured += 1
     assert measured >= 5
+
+
+def test_nash_test_and_poa_equal_an_enumeration_on_the_reference_response():
+    """``is_nash`` and ``poa_measure`` read ``game.best_response`` (and
+    ``own_utility``); the same enumeration on the reference response,
+    which prices and deadline-tests every server, gives the same verdicts,
+    witnesses and figures to the bit, with and without local computing
+    and under uniform shares."""
+    rng = np.random.default_rng(13)
+    measured = infeasible = improvable = 0
+    for i in range(24):
+        ctx = random_game_context(rng, m_max=4, n_max=2,
+                                  allow_local=i % 3 != 2)
+        ctx.uniform_shares = i % 3 == 1
+        ctx.deadline *= 0.3
+        if i % 2 and ctx.n_suavs == 2:   # tied SUAVs
+            ctx.rates[1] = ctx.rates[0]
+            ctx.queue_weight[1] = ctx.queue_weight[0]
+            ctx.__post_init__()
+        strategies = ([LOCAL] if ctx.allow_local else []) \
+            + list(range(ctx.n_servers))
+        feasible, nash = [], []
+        for combo in itertools.product(strategies, repeat=ctx.n_uds):
+            refs = [reference_best_response(m, np.array(combo), ctx)
+                    for m in range(ctx.n_uds)]
+            if any(c not in r.candidates for c, r in zip(combo, refs)):
+                infeasible += 1
+                continue
+            total = 0.0
+            for c, r in zip(combo, refs):
+                total += r.utilities[c]
+            feasible.append((total, combo))
+            witness = next(((m, r.best[0]) for m, (c, r)
+                            in enumerate(zip(combo, refs)) if c not in r.best),
+                           None)
+            assert is_nash(np.array(combo), ctx) == (witness is None, witness)
+            if witness is None:
+                nash.append((total, combo))
+            else:
+                improvable += 1
+        res = poa_measure(ctx)
+        optimum = min(feasible, key=lambda t: t[0])
+        worst = max(nash, key=lambda t: t[0])
+        assert (res.optimum_value, res.optimum_profile, res.n_feasible,
+                res.worst_nash_value, res.worst_nash_profile, res.n_nash) \
+            == (*optimum, len(feasible), *worst, len(nash))
+        measured += 1
+    assert measured >= 20 and infeasible > 100 and improvable > 300
 
 
 def test_poa_enumeration_cap():

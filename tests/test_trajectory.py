@@ -405,6 +405,21 @@ def test_subproblem_runs_every_tier_then_raises_when_all_miss(monkeypatch):
     assert calls == [("_slsqp", f0), ("_slsqp", 1.0), ("_slsqp", f0 / 100.0)]
 
 
+def test_a_repeated_scale_runs_once(monkeypatch):
+    """With 0 < f0 < 1 the first two scales are both 1: the tier runs once
+    at 1, then at f0 / 100, even when every tier misses the contract."""
+    monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
+    calls = record_solver_methods(monkeypatch)
+    prob = heavy_ud_problem()
+    prob.assignments[0].weights[:] = 1e-2
+    prob.queue_p = np.array([1e-4])
+    f0 = start_objective(prob)
+    assert 0.0 < f0 < 1.0
+    with pytest.raises(RuntimeError, match="failed its optimality contract"):
+        solve_convex_subproblem(prob, prob.current_positions.copy())
+    assert calls == [("_slsqp", 1.0), ("_slsqp", f0 / 100.0)]
+
+
 def test_zero_objective_subproblem_ends_on_the_first_tier(monkeypatch):
     """With no assigned UD and every propulsion queue at 0 the objective
     vanishes (f0 = 0, where the last scale would be 0): the first tier
@@ -437,8 +452,8 @@ def test_stage2_raises_no_warning(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_slsqp_loop_equals_minimize_bit_for_bit():
     """``_slsqp`` drives scipy's SLSQP core itself; it must return the x of
-    ``minimize(method="SLSQP")`` to the bit, at both tier scales, run to
-    the end (400 iterations) and stopped early (8)."""
+    ``minimize(method="SLSQP")`` to the bit, at the three tier scales, run
+    to the end (400 iterations) and stopped early (8)."""
     rng = np.random.default_rng(64)
     seen = {"n": set(), "empty_suav": False, "no_zeta": False,
             "segment_8": False, "stopped_early": False}
@@ -454,7 +469,8 @@ def test_slsqp_loop_equals_minimize_bit_for_bit():
                 seen["no_zeta"] |= sub.lay.n_zeta == 0
                 seen["segment_8"] |= bool((k_n >= 8).any())
                 x0 = sub.initial_point()
-                for scale in (max(1.0, abs(sub.objective(x0))), 1.0):
+                f0 = abs(sub.objective(x0))
+                for scale in (max(1.0, f0), 1.0, f0 / 100.0):
                     sub.scale = scale
                     for maxiter in (400, 8):
                         res = trajectory.minimize(

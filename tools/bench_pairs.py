@@ -15,12 +15,14 @@ summary.
 With --trace 0 the result holds, per workload, the pairs and a summary of
 every end-to-end metric in BENCHMARK.json: quartiles of both sides, wins
 (a pair with equal values is a tie), the median ratio, the revision's
-quartile spread and the gap between the medians (revision minus working
-tree).  With --trace 1 it holds the seed's traced pair, under
-`traced_pairs` and the workload's name.  The JSON goes to standard output,
-or is merged into --out: the workload's entry (or its traced pair) is
-replaced and every other key, such as a title, a claim or another
-workload's traced pair, is kept.  Nothing in the repository is touched
+quartile spread, the gap between the medians (revision minus working
+tree) and quartiles of the per-pair ratio working tree / revision.  Host
+drift moves both runs of a pair together, so the pair ratios can resolve
+a gain that the spread of either side's values hides.  With --trace 1 it
+holds the seed's traced pair, under `traced_pairs` and the workload's
+name.  The JSON goes to standard output, or is merged into --out: the
+workload's entry (or its traced pair) is replaced and every other key,
+such as a title, a claim or another workload's traced pair, is kept.  Nothing in the repository is touched
 apart from --out.  Each pair keeps both runs' ``correct`` flag and exit
 status; when any run is not correct or exits non-zero, the JSON is still
 written and the script then exits 1, naming each such run's side and seed.
@@ -127,7 +129,9 @@ def summary(pairs: list, metrics: list) -> dict:
             "ties": ties,
             "median_ratio_change_over_parent": qc["median"] / qp["median"],
             "parent_quartile_spread": qp["q3"] - qp["q1"],
-            "median_gap": qp["median"] - qc["median"]}
+            "median_gap": qp["median"] - qc["median"],
+            "pair_ratio_change_over_parent":
+                quartiles([c / p for p, c in zip(par, chg)])}
     return out
 
 
