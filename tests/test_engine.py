@@ -584,9 +584,10 @@ def test_stage2_work_ledger(monkeypatch):
     count(trajectory._Subproblem, "kkt_polish", "polishes")
     count(np.linalg, "lstsq", "lstsq")      # only the polish calls it
     run_simulation(desk_profile(num_slots=10, seed=0), "OJTRTA")
-    # no polish of this run meets a singular KKT matrix; the lstsq branch
-    # is held to its loop form in tests/test_subproblem_kernels.py
-    assert calls == {"subproblems": 57, "slsqp": 57, "polishes": 29,
+    # SLSQP meets the contract alone on every subproblem of this run; the
+    # polish and its lstsq branch are held to their loop forms in
+    # tests/test_subproblem_kernels.py
+    assert calls == {"subproblems": 57, "slsqp": 57, "polishes": 0,
                      "lstsq": 0}
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, nnls
 
+from uavmec import trajectory
 from uavmec.compute import induced_speed_term, propulsion_power
 from uavmec.config import desk_profile
 from uavmec.engine import run_simulation
@@ -443,20 +444,29 @@ def test_kkt_polish_equals_the_loop_form_from_solver_output():
 
 
 def desk_polish_inputs(monkeypatch):
-    """(problem, expansion, scale, x) of every Newton polish in desk OJTRTA,
-    seed 5, 15 slots: the subproblems whose solver point misses the
+    """(problem, expansion, scale, x) for the subproblems of desk OJTRTA,
+    seed 5, 15 slots, whose SLSQP point at the scale max(1, f0) misses the
     contract, with singular KKT matrices and working-set repairs among
-    them."""
-    inputs = []
-    polish = _Subproblem.kkt_polish
+    them.  Stage 2's own scale, f0 / 100, leaves almost no point to
+    polish, so the inputs come from this one."""
+    subproblems = []
+    solve = trajectory.solve_convex_subproblem
 
-    def recorded(sub, x):
-        inputs.append((sub.p, sub.exp.copy(), sub.scale, x.copy()))
-        return polish(sub, x)
+    def recorded(problem, expansion, layout=None):
+        subproblems.append((problem, np.array(expansion, dtype=float)))
+        return solve(problem, expansion, layout)
 
     with monkeypatch.context() as patch:
-        patch.setattr(_Subproblem, "kkt_polish", recorded)
+        patch.setattr(trajectory, "solve_convex_subproblem", recorded)
         run_simulation(desk_profile(num_slots=15, seed=5), "OJTRTA")
+    inputs = []
+    for prob, exp_q in subproblems:
+        sub = _Subproblem(prob, exp_q)
+        sub.scale = max(1.0, abs(sub._at_x0[1]))
+        x = sub.clip_speed(trajectory._slsqp(sub, sub.initial_point()))
+        kkt, feas, _ = sub.kkt_residual(x)
+        if kkt > trajectory.KKT_TOL or feas > trajectory.FEAS_TOL:
+            inputs.append((prob, exp_q, sub.scale, x))
     return inputs
 
 

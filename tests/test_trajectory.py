@@ -357,7 +357,7 @@ def test_expansion_point_feasible_but_not_stationary():
     assert sub.kkt_residual(x)[0] > KKT_TOL
 
 
-# --- solver tiers ---
+# --- the solver run ---
 
 def record_solver_methods(monkeypatch):
     """Wrap the subproblem's ``minimize`` and ``_slsqp``; returns the calls
@@ -384,46 +384,38 @@ def start_objective(prob):
     return abs(sub.objective(sub.initial_point()))
 
 
-def test_subproblem_stops_at_the_first_tier_that_meets_the_contract(
-        monkeypatch):
+def test_subproblem_runs_slsqp_once_at_a_hundredth_of_f0(monkeypatch):
     calls = record_solver_methods(monkeypatch)
     prob = heavy_ud_problem()
     sol = solve_convex_subproblem(prob, prob.current_positions.copy())
     assert sol.kkt_residual <= KKT_TOL
-    assert calls == [("_slsqp", max(1.0, start_objective(prob)))]
+    assert calls == [("_slsqp", start_objective(prob) / 100.0)]
 
 
-def test_subproblem_runs_every_tier_then_raises_when_all_miss(monkeypatch):
-    # a tolerance no residual can meet, so every tier misses the contract
+def test_subproblem_polishes_a_miss_once_then_raises(monkeypatch):
+    # a tolerance no residual can meet, so SLSQP's point and the polished
+    # one both miss the contract
     monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
     calls = record_solver_methods(monkeypatch)
+    polish = _Subproblem.kkt_polish
+
+    def recording_polish(sub, x):
+        calls.append(("kkt_polish", sub.scale))
+        return polish(sub, x)
+
+    monkeypatch.setattr(_Subproblem, "kkt_polish", recording_polish)
     prob = heavy_ud_problem()
     f0 = start_objective(prob)
-    assert f0 > 100.0                 # three distinct scales
     with pytest.raises(RuntimeError, match="failed its optimality contract"):
         solve_convex_subproblem(prob, prob.current_positions.copy())
-    assert calls == [("_slsqp", f0), ("_slsqp", 1.0), ("_slsqp", f0 / 100.0)]
-
-
-def test_a_repeated_scale_runs_once(monkeypatch):
-    """With 0 < f0 < 1 the first two scales are both 1: the tier runs once
-    at 1, then at f0 / 100, even when every tier misses the contract."""
-    monkeypatch.setattr(trajectory, "KKT_TOL", 1e-300)
-    calls = record_solver_methods(monkeypatch)
-    prob = heavy_ud_problem()
-    prob.assignments[0].weights[:] = 1e-2
-    prob.queue_p = np.array([1e-4])
-    f0 = start_objective(prob)
-    assert 0.0 < f0 < 1.0
-    with pytest.raises(RuntimeError, match="failed its optimality contract"):
-        solve_convex_subproblem(prob, prob.current_positions.copy())
-    assert calls == [("_slsqp", 1.0), ("_slsqp", f0 / 100.0)]
+    assert calls == [("_slsqp", f0 / 100.0), ("kkt_polish", f0 / 100.0)]
 
 
 def test_zero_objective_subproblem_ends_on_the_first_tier(monkeypatch):
     """With no assigned UD and every propulsion queue at 0 the objective
-    vanishes (f0 = 0, where the last scale would be 0): the first tier
-    ends at the expansion point with a KKT residual of 0."""
+    vanishes (f0 = 0, where f0 / 100 would divide by 0): SLSQP runs once,
+    at scale 1, and ends at the expansion point with a KKT residual of
+    0."""
     calls = record_solver_methods(monkeypatch)
     prob = heavy_ud_problem()
     prob.assignments = [SuavAssignment(np.empty((0, 2)), np.empty(0),
@@ -438,7 +430,8 @@ def test_zero_objective_subproblem_ends_on_the_first_tier(monkeypatch):
 
 def test_stage2_raises_no_warning(monkeypatch):
     """Stage 2 filters no warning, so a desk OJTRTA run and the heavy-UD
-    problem must not raise one, nor must every tier run on that problem."""
+    problem must not raise one, nor must the solver run and the polish of
+    a subproblem that misses its contract."""
     prob = heavy_ud_problem()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -452,8 +445,9 @@ def test_stage2_raises_no_warning(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_slsqp_loop_equals_minimize_bit_for_bit():
     """``_slsqp`` drives scipy's SLSQP core itself; it must return the x of
-    ``minimize(method="SLSQP")`` to the bit, at the three tier scales, run
-    to the end (400 iterations) and stopped early (8)."""
+    ``minimize(method="SLSQP")`` to the bit, at the objective scales
+    max(1, f0), 1 and f0 / 100 (the one stage 2 runs), run to the end (400
+    iterations) and stopped early (8)."""
     rng = np.random.default_rng(64)
     seen = {"n": set(), "empty_suav": False, "no_zeta": False,
             "segment_8": False, "stopped_early": False}

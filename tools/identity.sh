@@ -18,16 +18,15 @@
 #   data_bits_range (0, 1e6) bits): every approach, seeds 0-2
 #   paper with the same binding deadlines: EO and ERA, seeds 0-1, 20 slots,
 #          so stage 1's deadline fallbacks are compared at M = 60 too
-#   desk: OJTRTA at lyapunov_v 50 and 5000, seeds 0-9, the other two V
-#         values that acceptance criterion 8 averages (V=500 is above)
+#   desk with suav_energy_budget 212: OJTRTA at lyapunov_v 50, 500 and
+#         5000, seeds 0-9, acceptance criterion 8's sweep
 #   desk with zero-size tasks (data_bits_range (0, 0)): every approach,
 #         seeds 0-1, 10 slots, so EO's tie-break draws and the
 #         allocation's uniform-share fallback are compared too
 #   the two stage-2 gate configs of tests/test_engine.py, every approach:
 #         OCQ seed 982's 7-UD desk config and the 4-SUAV config whose
-#         separation rows bind, so the solver's later tiers, the Newton
-#         polish's working-set repairs and binding separation rows are
-#         compared too
+#         separation rows bind, so the Newton polish's working-set repairs
+#         and binding separation rows are compared too
 #   verify: the four oracle suites' lines at seeds 0 and 1, with each
 #         line's trailing runtime stripped, so the independent routes
 #         are compared too
@@ -47,8 +46,9 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
 # tight deadlines reach EO's waiver and the game's no-feasible-edge fallback
 echo '{"deadline_range": [0.05, 0.15], "data_bits_range": [0.0, 1e6]}' \
     > "$tmp/binding.json"
-for v in 50 5000; do
-    echo "{\"lyapunov_v\": $v.0}" > "$tmp/v$v.json"
+for v in 50 500 5000; do
+    echo "{\"suav_energy_budget\": 212.0, \"lyapunov_v\": $v.0}" \
+        > "$tmp/v$v.json"
 done
 # zero-size tasks cost nothing on any server, so EO's UDs tie: stage 1
 # draws its tie-breaks and the allocation falls back to uniform shares
@@ -110,8 +110,8 @@ run_all() {    # <source tree> <output dir>
         --config "$tmp/binding.json" --seeds 0 1 2
     simulate "$1" "$2/paper-binding" --profile paper --approach EO,ERA \
         --config "$tmp/binding.json" --seeds 0 1 --slots 20
-    for v in 50 5000; do
-        simulate "$1" "$2/desk-v$v" --profile desk --approach OJTRTA \
+    for v in 50 500 5000; do
+        simulate "$1" "$2/desk-212-v$v" --profile desk --approach OJTRTA \
             --config "$tmp/v$v.json" --seeds 0 1 2 3 4 5 6 7 8 9
     done
     simulate "$1" "$2/desk-empty" --profile desk --approach all \
